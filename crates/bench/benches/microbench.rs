@@ -265,8 +265,8 @@ fn bench_engine_decode_advance(c: &mut Criterion) {
     });
 }
 
-/// One small decode-heavy cluster run at the given thread count.
-fn cluster_run(threads: usize) -> u64 {
+/// One small decode-heavy cluster run, trace generation included.
+fn cluster_run() -> u64 {
     use deepserve::{materialize_trace, ClusterConfig, ClusterSim, Policy, TeRole};
     use npu::specs::ClusterSpec;
     use simcore::SimRng;
@@ -285,97 +285,17 @@ fn cluster_run(threads: usize) -> u64 {
         ..ClusterConfig::standard_34b()
     };
     let mut sim = ClusterSim::new(cfg, &[TeRole::Colocated; 4]);
-    sim.set_threads(threads);
     sim.inject(materialize_trace(&trace, 64_000));
     let report = sim.run_to_completion();
     report.latency.completed()
 }
 
-/// Prices the parallel-stepping coordinator: batch collection, worker
-/// dispatch and the ordered merge. Compare `cluster/step_batch_merge`
-/// (threads=2, batching machinery engaged) against
-/// `cluster/step_sequential` (threads=1, classic loop) — the gap is the
-/// coordination overhead a multi-core host must amortize.
-fn bench_cluster_step_batch(c: &mut Criterion) {
+/// Prices the cluster event loop end to end: dispatch, engine advance
+/// and report.
+fn bench_cluster_run(c: &mut Criterion) {
     c.bench_function("cluster/step_sequential", |b| {
-        b.iter(|| black_box(cluster_run(1)))
+        b.iter(|| black_box(cluster_run()))
     });
-    c.bench_function("cluster/step_batch_merge", |b| {
-        b.iter(|| black_box(cluster_run(2)))
-    });
-}
-
-/// Prices per-window dispatch for 1/4/8-member windows at 4 threads:
-/// `cluster/pool_handoff/pool/N` hands the window to the persistent
-/// `WorkerPool` (channel handoff to parked workers + coordinator
-/// stealing), `cluster/pool_handoff/scope/N` replays the pre-pool
-/// dispatch (`std::thread::scope` spawn + join per window, coordinator
-/// working the first chunk). Engines are empty, so each advance is a
-/// near-no-op and the measurement is dispatch overhead itself — the
-/// thing the persistent pool exists to amortize. Width-1 windows bypass
-/// dispatch in both generations (the real `advance_wave` runs them
-/// inline), so `pool/1` vs `scope/1` measure the same direct call and
-/// serve as the floor; the pool must be strictly cheaper at 4 and 8.
-fn bench_pool_handoff(c: &mut Criterion) {
-    use deepserve::{PoolMember, WorkerPool};
-    use flowserve::{Engine, EngineEvent, Pacing};
-    const THREADS: usize = 4;
-    let at = SimTime::from_micros(1);
-    for n in [1usize, 4, 8] {
-        c.bench_function(&format!("cluster/pool_handoff/pool/{n}"), move |b| {
-            let mut pool = WorkerPool::new(THREADS);
-            let mut members: Vec<PoolMember> = (0..n)
-                .map(|_| PoolMember {
-                    at,
-                    engine: engine_34b(),
-                    buf: Vec::new(),
-                })
-                .collect();
-            b.iter(|| {
-                if THREADS.min(members.len()) <= 1 {
-                    for m in &mut members {
-                        m.engine.advance_paced(m.at, Pacing::SingleStep, &mut m.buf);
-                    }
-                } else {
-                    pool.advance(Pacing::SingleStep, &mut members);
-                }
-                black_box(members.len());
-            })
-        });
-        c.bench_function(&format!("cluster/pool_handoff/scope/{n}"), move |b| {
-            let mut engines: Vec<Engine> = (0..n).map(|_| engine_34b()).collect();
-            let mut bufs: Vec<Vec<EngineEvent>> = (0..n).map(|_| Vec::new()).collect();
-            b.iter(|| {
-                let mut work: Vec<(&mut Engine, &mut Vec<EngineEvent>)> =
-                    engines.iter_mut().zip(bufs.iter_mut()).collect();
-                let workers = THREADS.min(work.len());
-                if workers <= 1 {
-                    for (eng, buf) in &mut work {
-                        eng.advance_paced(at, Pacing::SingleStep, buf);
-                    }
-                } else {
-                    let chunk = work.len().div_ceil(workers);
-                    std::thread::scope(|s| {
-                        let mut chunks = work.chunks_mut(chunk);
-                        let mine = chunks.next();
-                        for theirs in chunks {
-                            s.spawn(move || {
-                                for (eng, buf) in theirs {
-                                    eng.advance_paced(at, Pacing::SingleStep, buf);
-                                }
-                            });
-                        }
-                        if let Some(mine) = mine {
-                            for (eng, buf) in mine {
-                                eng.advance_paced(at, Pacing::SingleStep, buf);
-                            }
-                        }
-                    });
-                }
-                black_box(bufs.len());
-            })
-        });
-    }
 }
 
 criterion_group!(
@@ -389,7 +309,6 @@ criterion_group!(
     bench_shared_link,
     bench_engine_step,
     bench_engine_decode_advance,
-    bench_cluster_step_batch,
-    bench_pool_handoff
+    bench_cluster_run
 );
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //! Run: `cargo run --release -p deepserve-bench --bin fig6_dist_sched`
 
 use deepserve::{materialize_trace, ClusterConfig, ClusterSim, Policy, TeRole};
-use deepserve_bench::{header, threads_arg, write_json};
+use deepserve_bench::{header, write_json};
 use serde::Serialize;
 use simcore::SimRng;
 use workloads::CodeGenTrace;
@@ -35,7 +35,7 @@ struct Point {
     throughput_tok_s: f64,
 }
 
-fn run(policy: Policy, rps: f64, seed: u64, threads: usize) -> Point {
+fn run(policy: Policy, rps: f64, seed: u64) -> Point {
     let mut rng = SimRng::seed_from_u64(seed);
     let trace = CodeGenTrace::paper(rps).generate(&mut rng, REQUESTS);
     let cfg = ClusterConfig {
@@ -49,9 +49,6 @@ fn run(policy: Policy, rps: f64, seed: u64, threads: usize) -> Point {
         TeRole::Decode,
     ];
     let mut sim = ClusterSim::new(cfg, &roles);
-    // Execution-strategy knob only: the figure's numbers are bit-identical
-    // at any thread count.
-    sim.set_threads(threads);
     sim.inject(materialize_trace(&trace, 64_000));
     let mut report = sim.run_to_completion();
     // Fault-free run: empty stats mean a broken setup — fail loudly
@@ -80,10 +77,6 @@ fn run(policy: Policy, rps: f64, seed: u64, threads: usize) -> Point {
 
 fn main() {
     header("Figure 6: distributed scheduling (code-gen trace, 2C + 1P1D, 34B TP=4)");
-    let threads = threads_arg();
-    if threads > 1 {
-        println!("[parallel stepping: {threads} worker threads]");
-    }
     let rps_levels = [1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0];
     let policies = [Policy::RoundRobin, Policy::PdAware, Policy::Combined];
     let mut points = Vec::new();
@@ -94,7 +87,7 @@ fn main() {
     for &rps in &rps_levels {
         for &policy in &policies {
             // Same seed per RPS: all policies see the same trace.
-            let p = run(policy, rps, 7_000 + (rps * 10.0) as u64, threads);
+            let p = run(policy, rps, 7_000 + (rps * 10.0) as u64);
             println!(
                 "{:>10} {:>6.1} {:>12.0} {:>12.0} {:>11.1} {:>11.1} {:>12.1}",
                 p.policy,

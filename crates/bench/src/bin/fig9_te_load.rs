@@ -31,10 +31,6 @@ struct Row {
 
 fn main() {
     header("Figure 9: TE-Load time by path (seconds)");
-    // Accepted for CLI uniformity with the other figure binaries; this
-    // study is analytic (no ClusterSim runs), so there is nothing to
-    // parallelize.
-    let _ = deepserve_bench::threads_arg();
     let m = ScalingModel::new(ClusterSpec::gen2_cluster(4));
     let cases = [
         (ModelSpec::llama3_8b(), Parallelism::tp(1)),

@@ -12,17 +12,14 @@
 //!
 //! For each mode the sweep reports the cold-start latency distribution,
 //! queued-request cold-wait, per-tier SLA attainment, tier load counts and
-//! eviction/replica churn — and re-runs the identical configuration on a
-//! 4-thread worker pool to check the report is byte-identical (the
-//! determinism contract extends to the fleet layer).
+//! eviction/replica churn.
 //!
 //! Run: `cargo run --release -p deepserve-bench --bin fleet_sweep`
 //! CI:  `cargo run --release -p deepserve-bench --bin fleet_sweep -- --smoke`
 //!
-//! Exits non-zero unless every mode's thread-1 and thread-4 reports match
-//! AND both hierarchy modes beat the pre-warm-miss baseline's mean cold
-//! start. A full run snapshots results to `BENCH_fleet.json` at the repo
-//! root.
+//! Exits non-zero unless both hierarchy modes beat the pre-warm-miss
+//! baseline's mean cold start. A full run snapshots results to
+//! `BENCH_fleet.json` at the repo root.
 
 use deepserve::{
     fleet_catalog, materialize_fleet_trace, ClusterConfig, ClusterSim, ColdStartMode, FleetConfig,
@@ -63,16 +60,9 @@ struct Row {
     evictions: u64,
     replicas_added: u64,
     makespan_s: f64,
-    /// Thread-1 vs thread-4 reports byte-identical.
-    reports_identical: bool,
 }
 
-struct ModeOut {
-    row: Row,
-    report_json: String,
-}
-
-fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize, threads: usize) -> ModeOut {
+fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize) -> Row {
     let mut rng = SimRng::seed_from_u64(2026);
     let specs = FleetTrace::skewed(models, 6.0).generate(&mut rng, n_reqs);
     let cfg = ClusterConfig {
@@ -82,7 +72,6 @@ fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize, threads: usize) -
     };
     let roles = vec![TeRole::Colocated; 8];
     let mut sim = ClusterSim::new(cfg, &roles);
-    sim.set_threads(threads);
     sim.enable_fleet(
         fleet_catalog(models),
         FleetConfig {
@@ -147,7 +136,7 @@ fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize, threads: usize) -
         Some(ok_total as f64 / (ok_total + miss_total) as f64)
     };
 
-    let row = Row {
+    Row {
         mode: mode.as_str(),
         models,
         requests: n_reqs,
@@ -166,11 +155,6 @@ fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize, threads: usize) -
         evictions: report.counters.get("fleet.evictions"),
         replicas_added: report.counters.get("fleet.replicas_added"),
         makespan_s: report.makespan.as_secs_f64(),
-        reports_identical: false,
-    };
-    ModeOut {
-        row,
-        report_json: report.to_json().to_json(),
     }
 }
 
@@ -224,17 +208,12 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut all_identical = true;
     for mode in [
         ColdStartMode::PrewarmMiss,
         ColdStartMode::Hierarchy,
         ColdStartMode::HierarchyMulticast,
     ] {
-        let seq = run_mode(mode, models, n_reqs, 1);
-        let par = run_mode(mode, models, n_reqs, 4);
-        let mut row = seq.row;
-        row.reports_identical = seq.report_json == par.report_json;
-        all_identical &= row.reports_identical;
+        let row = run_mode(mode, models, n_reqs);
         print_row(&row);
         rows.push(row);
     }
@@ -258,16 +237,12 @@ fn main() {
     };
     write_json("fleet_sweep", &sweep);
 
-    if !all_identical {
-        eprintln!("FAIL: a fleet run diverged between 1 and 4 worker threads");
-        std::process::exit(1);
-    }
     if !(hierarchy_beats && multicast_beats) {
         eprintln!("FAIL: storage-hierarchy cold starts must beat the pre-warm-miss baseline");
         std::process::exit(1);
     }
     if smoke {
-        println!("\nsmoke OK: reports identical at 1 vs 4 threads; hierarchy beats pre-warm miss");
+        println!("\nsmoke OK: hierarchy beats pre-warm miss");
         return;
     }
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

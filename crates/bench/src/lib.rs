@@ -51,28 +51,6 @@ pub fn write_trace(path: &std::path::Path, value: &serde::value::Value) {
     println!("[trace written to {}]", path.display());
 }
 
-/// Parses an explicit `--threads N` CLI flag (`None` when absent or
-/// malformed). Results are bit-identical at any thread count, so the flag
-/// only trades wall-clock for cores.
-pub fn threads_flag() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let pos = args.iter().position(|a| a == "--threads")?;
-    match args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) => Some(n.max(1)),
-        None => {
-            eprintln!("--threads requires a positive integer; using the default");
-            None
-        }
-    }
-}
-
-/// Worker-thread count for a bench binary: the `--threads N` flag, else
-/// the `DEEPSERVE_THREADS` environment default (see
-/// [`deepserve::default_threads`]), else 1.
-pub fn threads_arg() -> usize {
-    threads_flag().unwrap_or_else(deepserve::default_threads)
-}
-
 /// Parses a `--<name> N` CLI flag into a number (`None` when absent or
 /// malformed).
 pub fn numeric_flag(name: &str) -> Option<f64> {

@@ -13,7 +13,6 @@ use crate::fleet::{ColdStartMode, FleetConfig, LoadState, ModelRegistry};
 use crate::heatmap::Heatmap;
 use crate::je::{Decision, JobExecutor, Policy, SchedPool, Target, TeSnapshot};
 use crate::manager::{HealthConfig, HealthMonitor};
-use crate::pool::{PoolMember, WorkerPool};
 use crate::predictor::{DecodePredictor, FixedAccuracy, Oracle};
 use crate::prompt_tree::TeId;
 use crate::scaling::{LoadPath, ScalingModel, ScalingOptimizations, SourceLoad};
@@ -88,8 +87,7 @@ struct LiveState {
     /// Notifications buffered since the last `take_live_events`.
     events: Vec<LiveEvent>,
     /// Wall frontier while inside `step_until`: fast-forward may absorb
-    /// iterations ending at or before this instant but never beyond it,
-    /// and batch collection must not pop wakes past it.
+    /// iterations ending at or before this instant but never beyond it.
     pace_limit: Option<SimTime>,
 }
 
@@ -324,50 +322,6 @@ impl RunReport {
     }
 }
 
-/// Worker-thread default for parallel cluster stepping: the
-/// `DEEPSERVE_THREADS` environment variable if set to a positive integer,
-/// else 1 (sequential). This is the single place the env var is read;
-/// every [`ClusterSim`] starts from it and [`ClusterSim::set_threads`]
-/// overrides per instance. Results are bit-identical at any thread count —
-/// the knob only trades wall-clock for cores.
-///
-/// # Panics
-///
-/// Panics with a diagnostic if `DEEPSERVE_THREADS` is set to anything but
-/// a positive integer (see [`parse_threads`]). A typo like
-/// `DEEPSERVE_THREADS=fourr` or `=0` used to be silently swallowed into a
-/// single-threaded run — a config error must fail loudly at startup, not
-/// quietly misattribute every benchmark number.
-pub fn default_threads() -> usize {
-    let Ok(raw) = std::env::var("DEEPSERVE_THREADS") else {
-        return 1;
-    };
-    match parse_threads(&raw) {
-        Ok(n) => n,
-        // detlint: allow(panic) — operator configuration boundary: an unparseable DEEPSERVE_THREADS must abort startup with a diagnostic, not silently degrade to single-threaded
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-/// Parses a `DEEPSERVE_THREADS` value. Empty or all-whitespace input is
-/// treated as unset (1 = sequential); anything else must be a positive
-/// integer. Split out of [`default_threads`] so the rejection paths are
-/// testable without mutating process-global environment state.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
-    let t = raw.trim();
-    if t.is_empty() {
-        return Ok(1);
-    }
-    match t.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "DEEPSERVE_THREADS must be a positive integer (worker threads \
-             for parallel stepping; results are bit-identical at any \
-             count), got {raw:?}"
-        )),
-    }
-}
-
 /// The serving cluster.
 pub struct ClusterSim {
     cfg: ClusterConfig,
@@ -422,52 +376,14 @@ pub struct ClusterSim {
     /// non-prefill `Wake`s). The earliest entry is the horizon handed to
     /// fast-forwarding engines: no absorption at or past it.
     horizon_times: TimeMultiset,
-    /// Worker threads for parallel stepping (1 = classic sequential loop).
-    /// Outcome is bit-identical at any count; only wall-clock changes.
-    threads: usize,
-    /// Livelock guard: `run_to_completion` panics after this many events.
+    /// Livelock guard: one `run_to_completion` or `step_until` call panics
+    /// once it has processed this many events.
     event_budget: u64,
-    /// Events processed across all `run_to_completion` calls.
+    /// Events processed across all `run_to_completion` and `step_until`
+    /// calls.
     events_processed: u64,
     /// Reused engine-event buffer for `on_wake`.
     events_scratch: Vec<EngineEvent>,
-    /// Reused wake-batch buffer for `step_wake_batch`:
-    /// `(due time, TE, passed the wake gate)`.
-    batch_scratch: Vec<(SimTime, TeId, bool)>,
-    /// Reused per-TE membership flags for batch collection.
-    batch_member: Vec<bool>,
-    /// Recycled engine-event buffers handed to batch workers.
-    wake_buf_pool: Vec<Vec<EngineEvent>>,
-    /// Persistent worker pool for parallel stepping. Created when
-    /// `threads > 1` (eagerly by `set_threads`, lazily on the first
-    /// parallel wave when the env default selects multi-threading), torn
-    /// down and rebuilt on reconfigure, dropped with the sim. `None`
-    /// while single-threaded.
-    pool: Option<WorkerPool>,
-    /// Recycled placeholder engines: swapped into a TE slot while its
-    /// real engine is out in the pool for a wave. Zero-KV config — they
-    /// are never stepped, only parked.
-    spare_engines: Vec<Engine>,
-    /// Reused member buffer for pool dispatch.
-    pool_members: Vec<PoolMember>,
-    /// Let prefill wakes join parallel windows under a conservative
-    /// KV-migration fence (see `prefill_fence`). On by default; ignored
-    /// while the fault layer is armed.
-    wide_windows: bool,
-    /// Reused `(request, kv_tokens)` buffer for `prefill_fence`.
-    fence_scratch: Vec<(RequestId, usize)>,
-    /// Reused per-wave buffer list for `step_wake_batch`.
-    wave_bufs: Vec<Vec<EngineEvent>>,
-    /// Parallel-stepping telemetry: batches executed, members advanced,
-    /// prefill members advanced. Execution-strategy metadata, kept out
-    /// of the replay-comparable report surface (see `exec_stats`).
-    exec_batches: u64,
-    exec_members: u64,
-    exec_prefill_members: u64,
-    /// Wake events forced through the sequential path (prefill wakes
-    /// under narrow windows or fault layers) — each is effectively a
-    /// width-1 window for width accounting, at any thread count.
-    exec_seq_wakes: u64,
     // --- fault layer (inert until `install_faults`) ---
     fault_cfg: FaultRecoveryConfig,
     fault_events: Vec<FaultEvent>,
@@ -616,23 +532,9 @@ impl ClusterSim {
             metrics: MetricsRegistry::new(),
             fast_forward: true,
             horizon_times: TimeMultiset::new(),
-            threads: default_threads(),
             event_budget: 200_000_000,
             events_processed: 0,
             events_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
-            batch_member: Vec::new(),
-            wake_buf_pool: Vec::new(),
-            pool: None,
-            spare_engines: Vec::new(),
-            pool_members: Vec::new(),
-            wide_windows: true,
-            fence_scratch: Vec::new(),
-            wave_bufs: Vec::new(),
-            exec_batches: 0,
-            exec_members: 0,
-            exec_prefill_members: 0,
-            exec_seq_wakes: 0,
             fault_cfg: FaultRecoveryConfig::default(),
             fault_events: Vec::new(),
             health: None,
@@ -706,66 +608,20 @@ impl ClusterSim {
         self.fast_forward = on;
     }
 
-    /// Sets the worker-thread count for parallel stepping (clamped to at
-    /// least 1 = the classic sequential loop). Like fast-forward, this is a
-    /// pure execution-strategy knob: reports and traces are bit-identical
-    /// at every thread count, so any value is safe anywhere — including
-    /// mid-run: the persistent pool for the old count is torn down (queue
-    /// closed, workers joined) and a fresh one stood up, and the next wave
-    /// dispatches into it with no state carried over.
-    pub fn set_threads(&mut self, n: usize) {
-        self.threads = n.max(1);
-        // Reconfigure the persistent pool generation eagerly: dropping the
-        // old pool closes its queue and joins its workers.
-        self.pool = None;
-        if self.threads > 1 {
-            self.pool = Some(WorkerPool::new(self.threads));
-        }
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Enables/disables wide parallel windows: prefill wakes joining
-    /// parallel batches under the conservative KV-migration fence of
-    /// `prefill_fence`. On by default; runs with the fault layer armed
-    /// ignore it (the fence's undegraded transfer estimates assume a
-    /// healthy fabric). Like fast-forward and threads, a pure
-    /// execution-strategy knob: reports are bit-identical either way.
-    pub fn set_wide_windows(&mut self, on: bool) {
-        self.wide_windows = on;
-    }
-
-    /// Parallel-stepping telemetry across all batches so far: `(batches,
-    /// members advanced, prefill members advanced, sequentially-stepped
-    /// wakes)`. Windows are collected at every thread count (a
-    /// `threads: 1` run reports the same widths it *would* parallelize),
-    /// so width comparisons never require a threads≥2 run. The last
-    /// component counts wake events that bypassed the window (prefill
-    /// wakes under narrow windows or fault layers) — each is a forced
-    /// width-1 step, so the effective mean window width is
-    /// `(members + seq) / (batches + seq)`. Execution-strategy metadata
-    /// like `sim.events_processed`, deliberately kept out of the
-    /// replay-comparable report surface.
-    pub fn exec_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.exec_batches,
-            self.exec_members,
-            self.exec_prefill_members,
-            self.exec_seq_wakes,
-        )
-    }
-
-    /// Replaces the default 200M-event livelock budget for
-    /// [`ClusterSim::run_to_completion`].
+    /// Replaces the default 200M-event livelock budget. The budget applies
+    /// to each [`ClusterSim::run_to_completion`] or
+    /// [`ClusterSim::step_until`] call on its own: a call panics once it
+    /// has processed `budget` events, however many earlier calls
+    /// processed. A long-lived live loop therefore never trips it by age
+    /// alone, only by one slice that cannot drain.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
     }
 
-    /// Events processed so far across `run_to_completion` calls (also
-    /// surfaced as the `sim.events_processed` counter metric).
+    /// Events processed so far across all `run_to_completion` and
+    /// `step_until` calls (also surfaced as the `sim.events_processed`
+    /// counter metric). A lifetime total; the event budget does not
+    /// apply to it.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -811,8 +667,8 @@ impl ClusterSim {
 
     /// Bookkeeping for a popped event: drops its horizon-bounding entry
     /// (and, in live mode, its all-pending-times mirror entry). Every pop
-    /// (main loop, batch collection, merge drain) must pair with this or
-    /// the horizon would stay pinned at a past instant.
+    /// must pair with this or the horizon would stay pinned at a past
+    /// instant.
     fn note_popped(&mut self, now: SimTime, ev: Event) {
         if self.bounds_horizon(ev) {
             self.horizon_times.remove(now);
@@ -988,52 +844,19 @@ impl ClusterSim {
     }
 
     /// Processes every event due at or before `limit`, then stops; the
-    /// queue keeps everything later. Fast-forward absorption and parallel
-    /// batch collection are clamped to `limit` for the duration, so the
-    /// execution is the same event-for-event prefix the unclamped run
-    /// would produce. Returns the next pending event time, if any — the
-    /// caller's cue for how long to sleep.
+    /// queue keeps everything later. Fast-forward absorption is clamped to
+    /// `limit` for the duration, so the execution is the same
+    /// event-for-event prefix the unclamped run would produce. Returns the
+    /// next pending event time, if any — the caller's cue for how long to
+    /// sleep.
     ///
     /// # Panics
     ///
-    /// Panics if the cumulative event budget is exceeded (livelock guard),
-    /// like [`ClusterSim::run_to_completion`].
+    /// Panics if this call alone processes the event budget
+    /// ([`ClusterSim::set_event_budget`], default 200M) — a slice that
+    /// cannot drain is almost certainly a livelock.
     pub fn step_until(&mut self, limit: SimTime) -> Option<SimTime> {
-        if let Some(live) = &mut self.live {
-            live.pace_limit = Some(limit);
-        }
-        let mut processed: u64 = 0;
-        while self.clock.peek_time().is_some_and(|t| t <= limit) {
-            let Some((now, ev)) = self.clock.next() else {
-                break; // unreachable: peek_time above returned Some
-            };
-            self.note_popped(now, ev);
-            processed += match ev {
-                Event::Wake(te)
-                    if self.tes[te.0 as usize].role != TeRole::Prefill
-                        || (self.wide_windows && self.health.is_none()) =>
-                {
-                    self.step_wake_batch(now, te)
-                }
-                _ => {
-                    if matches!(ev, Event::Wake(_)) {
-                        self.exec_seq_wakes += 1;
-                    }
-                    self.handle(now, ev);
-                    1
-                }
-            };
-            assert!(
-                self.events_processed + processed < self.event_budget,
-                "cluster sim exceeded event budget (livelock?)"
-            );
-        }
-        if let Some(live) = &mut self.live {
-            live.pace_limit = None;
-        }
-        self.events_processed += processed;
-        let id = self.metrics.counter("sim.events_processed");
-        self.metrics.add(id, processed);
+        self.drive(Some(limit));
         self.clock.peek_time()
     }
 
@@ -1128,39 +951,41 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if more than the configured event budget
-    /// ([`ClusterSim::set_event_budget`], default 200M) is processed —
-    /// almost certainly a livelock.
+    /// Panics if this call processes the event budget
+    /// ([`ClusterSim::set_event_budget`], default 200M) — almost certainly
+    /// a livelock.
     pub fn run_to_completion(&mut self) -> RunReport {
+        self.drive(None);
+        self.report()
+    }
+
+    /// The event loop, and the reference every execution mode is checked
+    /// against: pop the earliest event, handle it, repeat — until the
+    /// queue is empty or the next event is past `limit`. In live mode the
+    /// limit also clamps fast-forward absorption (see `current_pacing`)
+    /// while the loop runs.
+    fn drive(&mut self, limit: Option<SimTime>) {
+        if let Some(live) = &mut self.live {
+            live.pace_limit = limit;
+        }
         let mut processed: u64 = 0;
-        while let Some((now, ev)) = self.clock.next() {
-            self.note_popped(now, ev);
-            processed += match ev {
-                // Parallel stepping: a wake at the queue head may lead a
-                // batch of independent engine advances (collected at any
-                // thread count, so window-width telemetry is populated on
-                // `threads: 1` runs too; execution is sequential there).
-                // Prefill wakes participate only under wide windows
-                // (fault-free runs) — their KV migrations are bounded by
-                // a conservative fence.
-                Event::Wake(te)
-                    if self.tes[te.0 as usize].role != TeRole::Prefill
-                        || (self.wide_windows && self.health.is_none()) =>
-                {
-                    self.step_wake_batch(now, te)
-                }
-                _ => {
-                    if matches!(ev, Event::Wake(_)) {
-                        self.exec_seq_wakes += 1;
-                    }
-                    self.handle(now, ev);
-                    1
-                }
+        while let Some(t) = self.clock.peek_time() {
+            if limit.is_some_and(|l| t > l) {
+                break;
+            }
+            let Some((now, ev)) = self.clock.next() else {
+                break; // unreachable: peek_time above returned Some
             };
+            self.note_popped(now, ev);
+            self.handle(now, ev);
+            processed += 1;
             assert!(
                 processed < self.event_budget,
                 "cluster sim exceeded event budget (livelock?)"
             );
+        }
+        if let Some(live) = &mut self.live {
+            live.pace_limit = None;
         }
         self.events_processed += processed;
         // Meta-metric: measures simulator execution, not simulated outcome.
@@ -1168,7 +993,6 @@ impl ClusterSim {
         // bit-comparable against single-stepping.
         let id = self.metrics.counter("sim.events_processed");
         self.metrics.add(id, processed);
-        self.report()
     }
 
     fn report(&mut self) -> RunReport {
@@ -1419,27 +1243,6 @@ impl ClusterSim {
         self.sched(wake.max_of(now), Event::Wake(te_id));
     }
 
-    /// Whether TE `te_id` should advance for a wake due at `now`, applying
-    /// the gate's side effect (clearing a consumed `scheduled_wake`).
-    fn wake_gate(&mut self, now: SimTime, te_id: TeId) -> bool {
-        // A crashed TE computes nothing; stale wakes fall on the floor.
-        if !self.tes[te_id.0 as usize].alive {
-            return false;
-        }
-        let te = self.te_mut(te_id);
-        match te.scheduled_wake {
-            Some(w) if w == now => {
-                te.scheduled_wake = None;
-                true
-            }
-            // Superseded wake: a later reschedule moved this TE's next
-            // deadline past `now` (fast-forward pushing `ends_at` out),
-            // so the engine provably has nothing to do yet.
-            Some(w) if w > now => false,
-            _ => true,
-        }
-    }
-
     fn current_pacing(&self) -> Pacing {
         if self.fast_forward {
             let mut horizon = self.horizon_times.min();
@@ -1458,8 +1261,18 @@ impl ClusterSim {
     }
 
     fn on_wake(&mut self, now: SimTime, te_id: TeId) {
-        if !self.wake_gate(now, te_id) {
+        let te = self.te_mut(te_id);
+        // A crashed TE computes nothing; stale wakes fall on the floor.
+        if !te.alive {
             return;
+        }
+        match te.scheduled_wake {
+            Some(w) if w == now => te.scheduled_wake = None,
+            // Superseded wake: a later reschedule moved this TE's next
+            // deadline past `now` (fast-forward pushing `ends_at` out),
+            // so the engine provably has nothing to do yet.
+            Some(w) if w > now => return,
+            _ => {}
         }
         let pacing = self.current_pacing();
         let mut events = std::mem::take(&mut self.events_scratch);
@@ -1473,362 +1286,6 @@ impl ClusterSim {
         }
         self.events_scratch = events;
         self.reschedule_wake(now, te_id);
-    }
-
-    /// Conservative parallel stepping: handles `first` (an already-popped
-    /// wake) together with every consecutive queue-head event that is also
-    /// an independent wake, advancing the engines concurrently on the
-    /// persistent worker pool (sequentially in place at one thread).
-    /// Prefill wakes join only under wide windows (fault-
-    /// free runs), fenced by `prefill_fence`; otherwise they end
-    /// collection. Returns the number of events processed (batch members
-    /// plus merge-drained reschedules).
-    ///
-    /// Why this is exactly the sequential execution (see DESIGN.md
-    /// "Parallel stepping" for the full argument):
-    ///
-    /// * **Lookahead.** Collection stops at the first event that is not a
-    ///   batch-eligible wake — so at the first *horizon-bounding* event,
-    ///   unless wide windows admit it under a fence (below). Batch members
-    ///   therefore all precede the next event whose handler could touch
-    ///   another TE, and a non-prefill wake's own handler only advances
-    ///   its TE and reschedules its own next wake — so members commute
-    ///   with everything between them.
-    /// * **Frozen gates.** Nothing a member does changes another member's
-    ///   gate (`alive`, `scheduled_wake`), so the gates evaluated up front
-    ///   equal the values the sequential loop would compute one by one. A
-    ///   second queued wake for a TE already in the batch *can* observe
-    ///   the first one's effects, so it ends collection instead of
-    ///   joining.
-    /// * **Waved advance.** The only member whose application changes the
-    ///   horizon multiset is a prefill member (entry removal plus re-wake
-    ///   and migration insertions); decode and colocated applies never
-    ///   touch it. The batch therefore splits into *waves* — maximal runs
-    ///   of same-kind members — and one pacing read per wave is exact:
-    ///   within a wave the multiset is frozen, and the read at a wave
-    ///   boundary happens after the preceding prefill applications, right
-    ///   where the sequential loop would observe the change.
-    /// * **Exact-order merge.** Workers only mutate the engines moved to
-    ///   them and fill private event buffers; the pool reassembles chunks
-    ///   by original wave position regardless of which lane finished
-    ///   first. The coordinator then replays the buffers in pop order, and before applying member *i* at `t_i`
-    ///   drains every queue event strictly earlier than `t_i` — the only
-    ///   such events are wakes the merge itself scheduled for
-    ///   already-applied members, which sequentially would fire between
-    ///   the two timestamps. Every coordinator-side mutation (float
-    ///   accumulation, prompt-tree updates, trace emission, event-queue
-    ///   sequence numbers) therefore happens in the sequential order.
-    ///   A mid-batch prefill application inserts only events at or after
-    ///   the cutoff (re-wake ≥ its fence) or at/after the already-queued
-    ///   fabric wake (`schedule_fabric`: adding a transfer only pushes
-    ///   other completions out, and the new one finishes no earlier than
-    ///   the lone estimate ≥ the fence) — both past every member, so no
-    ///   later member or drain can observe them early.
-    fn step_wake_batch(&mut self, first_t: SimTime, first_te: TeId) -> u64 {
-        // --- collect the maximal run of independent non-prefill wakes ---
-        let n_tes = self.tes.len();
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        let mut member = std::mem::take(&mut self.batch_member);
-        batch.clear();
-        member.clear();
-        member.resize(n_tes, false);
-        member[first_te.0 as usize] = true;
-        batch.push((first_t, first_te, false));
-        // Wide windows: prefill wakes may join the batch, each
-        // contributing a fence — the earliest instant its handler could
-        // affect any other TE (see `prefill_fence`). The running `cutoff`
-        // is the smallest fence so far, and once set it bounds *every*
-        // further member, decode wakes included: collection stops
-        // strictly before it, so every KV migration and new-iteration
-        // re-wake a prefill application produces lands outside the
-        // window, after all members. Joined prefill wakes keep their
-        // horizon-bounding multiset entries until the merge applies them
-        // — exactly when a sequential pop would drop them — so the
-        // per-wave pacing reads and every merge-drained wake (which
-        // consults the live multiset) see the same horizons the
-        // sequential loop would. Prefill engines themselves never absorb
-        // (fast-forward requires a quiescent pure-decode batch, and
-        // prefill-role TEs never hold decode work), so the pacing their
-        // own advance receives is moot.
-        let wide = self.wide_windows && self.health.is_none();
-        let mut cutoff: Option<SimTime> = None;
-        if self.tes[first_te.0 as usize].role == TeRole::Prefill {
-            cutoff = Some(self.prefill_fence(first_t, first_te));
-        }
-        // Live pacing: never collect a wake past the wall frontier — the
-        // sequential `step_until` loop would stop before it.
-        let pace_limit = self.live.as_ref().and_then(|l| l.pace_limit);
-        while let Some((t, &Event::Wake(te))) = self.clock.peek() {
-            let idx = te.0 as usize;
-            let is_prefill = self.tes[idx].role == TeRole::Prefill;
-            if member[idx] {
-                break;
-            }
-            if is_prefill && !wide {
-                break;
-            }
-            if cutoff.is_some_and(|c| t >= c) {
-                break;
-            }
-            if pace_limit.is_some_and(|limit| t > limit) {
-                break;
-            }
-            let Some((t, ev)) = self.clock.pop_pending() else {
-                break; // unreachable: peek above returned Some
-            };
-            if is_prefill {
-                // Defer the horizon-entry removal to merge application
-                // (see above); only mirror the live-pending bookkeeping.
-                if let Some(live) = &mut self.live {
-                    live.pending.remove(t);
-                }
-                let fence = self.prefill_fence(t, te);
-                cutoff = Some(cutoff.map_or(fence, |c| c.min(fence)));
-            } else {
-                self.note_popped(t, ev);
-            }
-            member[idx] = true;
-            batch.push((t, te, false));
-        }
-
-        // --- gate members up front (valid because the window is frozen) ---
-        for entry in &mut batch {
-            entry.2 = self.wake_gate(entry.0, entry.1);
-        }
-
-        // --- advance and merge in waves ---
-        // A wave is a maximal run of same-kind (prefill vs non-prefill)
-        // members. Decode/colocated applications never touch the horizon
-        // multiset, and prefill applications — the only ones that do —
-        // sit at wave boundaries, so reading the pacing once per wave is
-        // exactly what the sequential loop would observe at each member's
-        // pop. Prefill members never absorb, so the pacing their wave
-        // reads is irrelevant to them; what matters is that their
-        // *application* precedes the next wave's read.
-        self.exec_batches += 1;
-        self.exec_members += batch.iter().filter(|e| e.2).count() as u64;
-        self.exec_prefill_members += batch
-            .iter()
-            .filter(|e| e.2 && self.tes[e.1 .0 as usize].role == TeRole::Prefill)
-            .count() as u64;
-        let mut processed = 0u64;
-        let mut bufs = std::mem::take(&mut self.wave_bufs);
-        let mut start = 0usize;
-        while start < batch.len() {
-            let wave_prefill = self.tes[batch[start].1 .0 as usize].role == TeRole::Prefill;
-            let mut end = start + 1;
-            while end < batch.len()
-                && (self.tes[batch[end].1 .0 as usize].role == TeRole::Prefill) == wave_prefill
-            {
-                end += 1;
-            }
-            let eligible = batch[start..end].iter().filter(|e| e.2).count();
-            bufs.clear();
-            for _ in 0..eligible {
-                let mut b = self.wake_buf_pool.pop().unwrap_or_default();
-                b.clear();
-                bufs.push(b);
-            }
-            self.advance_wave(&batch[start..end], &mut bufs);
-
-            // Merge the wave in pop order, draining reschedules into the
-            // gaps.
-            let mut slot = 0;
-            for (i, &(t_i, te_i, ok)) in batch[start..end].iter().enumerate() {
-                while self.clock.peek_time().is_some_and(|t| t < t_i) {
-                    let Some((dt, dev)) = self.clock.next() else {
-                        break; // unreachable: peek_time above returned Some
-                    };
-                    debug_assert!(matches!(dev, Event::Wake(_)), "drained a non-wake event");
-                    self.note_popped(dt, dev);
-                    self.handle(dt, dev);
-                    processed += 1;
-                }
-                self.clock.advance_to(t_i);
-                if wave_prefill && start + i > 0 {
-                    // Collection deferred this joined prefill wake's
-                    // horizon entry; drop it now, at the instant a
-                    // sequential pop would (the run loop already dropped
-                    // the first member's).
-                    self.horizon_times.remove(t_i);
-                }
-                if ok {
-                    let mut buf = std::mem::take(&mut bufs[slot]);
-                    slot += 1;
-                    for ev in buf.drain(..) {
-                        self.on_engine_event(t_i, te_i, ev);
-                    }
-                    self.wake_buf_pool.push(buf);
-                    self.reschedule_wake(t_i, te_i);
-                }
-                processed += 1;
-            }
-            start = end;
-        }
-        bufs.clear();
-        self.wave_bufs = bufs;
-
-        batch.clear();
-        member.clear();
-        self.batch_scratch = batch;
-        self.batch_member = member;
-        processed
-    }
-
-    /// Advances the gated members of one wave, filling one private event
-    /// buffer per gated member (in wave order). Single-threaded (or
-    /// single-member) waves run the classic sequential loop; otherwise
-    /// each member's engine is moved into the persistent [`WorkerPool`]
-    /// (a recycled zero-capacity placeholder parks in its TE slot) and
-    /// the pool advances the wave across its lanes with work-stealing.
-    /// Either way the results land back in wave order, so the merge in
-    /// `step_wake_batch` is oblivious to the execution strategy. Reads
-    /// the pacing on entry — i.e. after every preceding wave's
-    /// application, the only point inside a batch where the horizon
-    /// multiset can change (see `step_wake_batch`).
-    fn advance_wave(&mut self, wave: &[(SimTime, TeId, bool)], bufs: &mut [Vec<EngineEvent>]) {
-        let pacing = self.current_pacing();
-        if self.threads.min(bufs.len()) <= 1 {
-            // Sequential reference path: members are distinct TEs,
-            // advanced in wave order against their private buffers.
-            let mut slot = 0;
-            for &(t, te, ok) in wave {
-                if ok {
-                    self.tes[te.0 as usize]
-                        .engine
-                        .advance_paced(t, pacing, &mut bufs[slot]);
-                    slot += 1;
-                }
-            }
-            return;
-        }
-        // Parallel path. The pool's workers hold no borrow into the sim:
-        // each gated member's engine is *moved* out (a placeholder takes
-        // its slot), travels through the handoff channel with its wake
-        // time and buffer, and is moved back in wave order afterwards.
-        if self.pool.is_none() {
-            // `default_threads()` picked multi-threading without a
-            // `set_threads` call; stand the pool up on first use.
-            self.pool = Some(WorkerPool::new(self.threads));
-        }
-        let mut members = std::mem::take(&mut self.pool_members);
-        debug_assert!(members.is_empty());
-        let mut slot = 0;
-        for &(t, te, ok) in wave {
-            if !ok {
-                continue;
-            }
-            let placeholder = match self.spare_engines.pop() {
-                Some(e) => e,
-                None => Self::placeholder_engine(&self.cfg),
-            };
-            let engine = std::mem::replace(&mut self.tes[te.0 as usize].engine, placeholder);
-            members.push(PoolMember {
-                at: t,
-                engine,
-                buf: std::mem::take(&mut bufs[slot]),
-            });
-            slot += 1;
-        }
-        if let Some(pool) = self.pool.as_mut() {
-            pool.advance(pacing, &mut members);
-        }
-        let mut slot = 0;
-        let mut drained = members.drain(..);
-        for &(_, te, ok) in wave {
-            if !ok {
-                continue;
-            }
-            let Some(m) = drained.next() else {
-                break; // unreachable: pool returns every member it was given
-            };
-            let placeholder = std::mem::replace(&mut self.tes[te.0 as usize].engine, m.engine);
-            self.spare_engines.push(placeholder);
-            bufs[slot] = m.buf;
-            slot += 1;
-        }
-        drop(drained);
-        self.pool_members = members;
-    }
-
-    /// Builds a zero-capacity engine to park in a TE slot while the real
-    /// engine is out in the worker pool for a wave. `kv_reserve_frac:
-    /// 1.0` + `dram_blocks: 0` yield an engine with no KV blocks and an
-    /// empty RTC — it is only ever parked, never stepped, and the pool
-    /// recycles them through `spare_engines`.
-    fn placeholder_engine(cfg: &ClusterConfig) -> Engine {
-        let engine_cfg = EngineConfig {
-            kv_reserve_frac: 1.0,
-            dram_blocks: 0,
-            ..cfg.engine.clone()
-        };
-        let cost = ExecCostModel::new(
-            cfg.cluster.server.chip.clone(),
-            cfg.cluster.hccs,
-            cfg.model.clone(),
-            cfg.parallelism,
-        );
-        Engine::new(engine_cfg, cost)
-    }
-
-    /// Earliest instant at which running the prefill wake `(t, te)` could
-    /// affect any other TE — the conservative bound that lets prefill
-    /// wakes join a parallel window (DESIGN.md "Wide parallel windows").
-    ///
-    /// * An in-flight iteration ending after `t` means the wake is a pure
-    ///   reschedule no-op: nothing happens before that end.
-    /// * Otherwise the wake may complete prefill parts at `t` and start
-    ///   their KV migrations; each lands no earlier than `t` plus the
-    ///   fabric's lone-transfer time for its exposed bytes (link sharing
-    ///   only slows transfers, and wide windows are off under faults, so
-    ///   no degraded link or transfer flake can undercut the estimate).
-    ///   Routeless completions only release KV on their own engine.
-    /// * Any same-TE re-wake it schedules is either at `t` itself (a
-    ///   harmless same-instant no-op: a freshly started iteration ends at
-    ///   least one iteration floor later) or at the next iteration end,
-    ///   which the floor also bounds — so a merge-drained wake before the
-    ///   fence can never complete further prefills.
-    fn prefill_fence(&mut self, t: SimTime, te: TeId) -> SimTime {
-        let idx = te.0 as usize;
-        if let Some(end) = self.tes[idx].engine.current_iteration_end() {
-            if end > t {
-                return end;
-            }
-        }
-        // Re-wake bound: the engine's own proof of the cheapest iteration
-        // it could start next. With no queued prefill work there is no
-        // re-wake to bound, but fall back to the global iteration floor
-        // anyway so wake-path side channels (kv retries, swaps) stay
-        // outside the window.
-        let floor = self.tes[idx]
-            .engine
-            .next_prefill_span_floor(t)
-            .unwrap_or_else(|| self.tes[idx].engine.min_iteration_span());
-        let mut fence = t + floor;
-        let mut peeked = std::mem::take(&mut self.fence_scratch);
-        peeked.clear();
-        self.tes[idx]
-            .engine
-            .peek_prefill_completions(t, &mut peeked);
-        let kv_bytes_tok = self.cfg.model.kv_bytes_per_token();
-        let overlap = self.cfg.kv_transfer_overlap;
-        for &(id, kv_tokens) in peeked.iter() {
-            let Some(&to) = self.decode_route.get(&id) else {
-                continue;
-            };
-            let total = kv_tokens as u64 * kv_bytes_tok;
-            // Mirrors `start_migration`'s exposed-bytes computation (the
-            // degrade branch is unreachable here: wide windows imply a
-            // fault-free run).
-            let exposed = (total as f64 * (1.0 - overlap)).max(1.0) as u64;
-            let src = self.tes[idx].npus[0];
-            let dst = self.tes[to.0 as usize].npus[0];
-            let est = self.fabric.lone_transfer_estimate(src, dst, exposed);
-            fence = fence.min(t + est);
-        }
-        peeked.clear();
-        self.fence_scratch = peeked;
-        fence
     }
 
     fn on_engine_event(&mut self, now: SimTime, te_id: TeId, ev: EngineEvent) {

@@ -20,9 +20,6 @@
 //!   of Table 2, plus the TE-Load paths (DRAM-hit/miss, NPU-fork) (§6).
 //! * [`cluster`] — the cluster simulation composing JEs, TEs, the fabric
 //!   and workloads (the testbed for Figures 4–6).
-//! * [`pool`] — the persistent worker pool backing parallel cluster
-//!   stepping: long-lived workers, channel handoff, wave-granularity
-//!   work-stealing, byte-identical merge order.
 //! * [`fleet`] — the serverless model-fleet registry: hundreds of model
 //!   endpoints, per-model load states, and cold-start pricing through the
 //!   storage hierarchy (§6.2).
@@ -35,7 +32,6 @@ pub mod fleet;
 pub mod heatmap;
 pub mod je;
 pub mod manager;
-pub mod pool;
 pub mod predictor;
 pub mod prompt_tree;
 pub mod scaling;
@@ -44,10 +40,7 @@ pub use api::{
     materialize, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest, Endpoint,
     IngressRecord, Job, JobKind, Slo, TaskKind,
 };
-pub use cluster::{
-    default_threads, parse_threads, ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent,
-    RunReport, TeRole,
-};
+pub use cluster::{ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent, RunReport, TeRole};
 pub use fleet::{fleet_catalog, ColdStartMode, FleetConfig, LoadState, ModelEntry, ModelRegistry};
 pub use heatmap::Heatmap;
 pub use je::{Decision, JobExecutor, Policy, SchedPool, Target, TeSnapshot};
@@ -55,7 +48,6 @@ pub use manager::{
     AutoscaleSignal, Autoscaler, AutoscalerConfig, HealthConfig, HealthMonitor, PodPool,
     PreloadManager, ScaleAction, TePool,
 };
-pub use pool::{PoolMember, WorkerPool};
 pub use predictor::{Constant, DecodePredictor, FixedAccuracy, Oracle};
 pub use prompt_tree::{GlobalPromptTree, TeId};
 pub use scaling::{LoadPath, ScalingBreakdown, ScalingModel, ScalingOptimizations, SourceLoad};

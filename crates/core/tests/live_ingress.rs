@@ -1,8 +1,7 @@
 //! Core-level tests for the live-ingress API (`enable_live_ingress` /
-//! `submit_live` / `step_until`) and the `DEEPSERVE_THREADS` parser the
-//! gateway's serve loop relies on.
+//! `submit_live` / `step_until`) the gateway's serve loop relies on.
 
-use deepserve::{parse_threads, ApiRequest, ClusterConfig, ClusterSim, LiveEvent, TeRole};
+use deepserve::{ApiRequest, ClusterConfig, ClusterSim, LiveEvent, TeRole};
 use flowserve::{synthetic_tokens, CacheId};
 use simcore::{SimDuration, SimTime};
 
@@ -15,25 +14,6 @@ fn sim() -> ClusterSim {
 
 fn req(id: u64, at: SimTime) -> ApiRequest {
     ApiRequest::chat(id, synthetic_tokens(id, 96, 64_000), 4, at)
-}
-
-#[test]
-fn parse_threads_accepts_positive_integers() {
-    assert_eq!(parse_threads("1"), Ok(1));
-    assert_eq!(parse_threads(" 8 "), Ok(8));
-    assert_eq!(parse_threads(""), Ok(1));
-    assert_eq!(parse_threads("   "), Ok(1));
-}
-
-#[test]
-fn parse_threads_rejects_garbage_with_a_diagnostic() {
-    for bad in ["0", "-2", "fourr", "1.5", "8x", "NaN"] {
-        let err = parse_threads(bad).expect_err(bad);
-        assert!(
-            err.contains("DEEPSERVE_THREADS") && err.contains(bad),
-            "diagnostic must name the variable and the bad value: {err}"
-        );
-    }
 }
 
 #[test]
@@ -147,4 +127,61 @@ fn token_events_cover_the_decode_stream() {
         "token events must cover all {finished_total} outputs, saw {streamed}+{first}"
     );
     let _ = report.to_json();
+}
+
+/// A live sim with six requests queued and an optional event budget.
+fn queued_sim(budget: Option<u64>) -> ClusterSim {
+    let mut s = sim();
+    if let Some(b) = budget {
+        s.set_event_budget(b);
+    }
+    s.enable_live_ingress();
+    for id in 0..6 {
+        s.submit_live(req(id, SimTime::ZERO + SimDuration::from_millis(id)));
+    }
+    s
+}
+
+/// Steps `queued_sim` in 20 ms slices until the queue drains. Returns the
+/// events each `step_until` call processed.
+fn sliced_run(budget: Option<u64>) -> Vec<u64> {
+    let mut s = queued_sim(budget);
+    let mut slices = Vec::new();
+    let mut limit = SimTime::ZERO;
+    while s.next_event_time().is_some() {
+        limit += SimDuration::from_millis(20);
+        let before = s.events_processed();
+        s.step_until(limit);
+        slices.push(s.events_processed() - before);
+    }
+    slices
+}
+
+/// The smallest budget no single slice of `sliced_run` reaches, checked to
+/// sit below the run's lifetime total.
+fn budget_between_slice_and_total() -> u64 {
+    let slices = sliced_run(None);
+    let budget = slices.iter().copied().max().unwrap_or(0) + 1;
+    let total: u64 = slices.iter().sum();
+    assert!(
+        total > budget,
+        "the run must span several slices: {slices:?}"
+    );
+    budget
+}
+
+#[test]
+fn event_budget_applies_per_call_not_per_lifetime() {
+    // A long-lived serve loop steps forever; its lifetime total passing
+    // the budget must not trip the livelock guard.
+    let budget = budget_between_slice_and_total();
+    let slices = sliced_run(Some(budget));
+    assert!(slices.iter().sum::<u64>() > budget);
+}
+
+#[test]
+#[should_panic(expected = "event budget")]
+fn one_call_past_the_event_budget_panics() {
+    let budget = budget_between_slice_and_total();
+    queued_sim(Some(budget)).step_until(SimTime::from_secs(3600));
 }

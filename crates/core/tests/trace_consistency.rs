@@ -350,150 +350,6 @@ fn fast_forward_reduces_events() {
     );
 }
 
-// ---- conservative parallel stepping equivalence -------------------------
-//
-// Multi-threaded engine advance is, like fast-forward, a pure execution
-// strategy: the coordinator merges worker results in the exact sequential
-// order, so report JSON *and* trace JSON must be byte-identical at any
-// thread count.
-
-/// One full traced run at the given thread count; returns the serialized
-/// report and the serialized lifecycle trace.
-#[allow(clippy::too_many_arguments)]
-fn run_threaded(
-    threads: usize,
-    fast_forward: bool,
-    roles: &[TeRole],
-    engine: EngineConfig,
-    seed: u64,
-    rps: f64,
-    n_reqs: usize,
-    faulted: bool,
-) -> (String, String) {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let reqs = materialize_trace(&ChatTrace::paper(rps).generate(&mut rng, n_reqs), 64_000);
-    let cfg = ClusterConfig {
-        policy: Policy::Combined,
-        engine,
-        ..ClusterConfig::standard_34b()
-    };
-    let mut sim = ClusterSim::new(cfg, roles);
-    sim.set_threads(threads);
-    sim.set_fast_forward(fast_forward);
-    sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
-    sim.inject(reqs);
-    if faulted {
-        let plan = FaultPlan::none()
-            .with_crash(SimTime::from_secs(6), 0)
-            .with_straggler(SimTime::from_secs(2), 1, 3.0, SimDuration::from_secs(5))
-            .with_transfer_flake(SimTime::from_secs(1), SimDuration::from_secs(3));
-        sim.install_faults(&plan, FaultRecoveryConfig::default());
-    }
-    let mut report = sim.run_to_completion();
-    (report.to_json().to_json(), report.trace.to_json().to_json())
-}
-
-proptest! {
-    /// Random workloads x topologies x pacings x faults: the sequential
-    /// loop vs worker pools of 2–8 threads (odd counts included, and —
-    /// with 2-3 TE topologies — always some cases where threads exceed
-    /// engines) must produce byte-identical serialized reports AND traces.
-    #[test]
-    fn parallel_stepping_is_bit_identical(
-        seed in 0u64..10_000,
-        rps_x10 in 5u64..60,
-        n_reqs in 8usize..40,
-        topo in 0usize..4,
-        max_batch in 4usize..48,
-        fast_forward in 0usize..2,
-        faulted in 0usize..2,
-        threads_idx in 0usize..5,
-    ) {
-        let roles: &[TeRole] = match topo {
-            0 => &[TeRole::Colocated, TeRole::Colocated],
-            1 => &[TeRole::Colocated, TeRole::Colocated, TeRole::Colocated],
-            2 => &[TeRole::Prefill, TeRole::Prefill, TeRole::Decode],
-            _ => &[TeRole::Prefill, TeRole::Decode, TeRole::Colocated],
-        };
-        let engine = EngineConfig {
-            max_batch,
-            ..EngineConfig::colocated()
-        };
-        let threads = [2usize, 3, 4, 5, 8][threads_idx];
-        let rps = rps_x10 as f64 / 10.0;
-        let ff = fast_forward == 1;
-        let seq = run_threaded(1, ff, roles, engine.clone(), seed, rps, n_reqs, faulted == 1);
-        let par = run_threaded(threads, ff, roles, engine, seed, rps, n_reqs, faulted == 1);
-        prop_assert_eq!(&seq.0, &par.0, "parallel report diverged at {} threads", threads);
-        prop_assert_eq!(&seq.1, &par.1, "parallel trace diverged at {} threads", threads);
-    }
-}
-
-/// Directed PD-disaggregated scenario under parallel stepping: decode
-/// wake batches run concurrently while KV migrations, populate transfers
-/// and prefill wakes stay coordinator-side — reports and traces must not
-/// move by a byte at any thread count.
-#[test]
-fn parallel_stepping_matches_sequential_disaggregated() {
-    let roles = [TeRole::Prefill, TeRole::Prefill, TeRole::Decode];
-    let seq = run_threaded(
-        1,
-        true,
-        &roles,
-        EngineConfig::colocated(),
-        7,
-        6.0,
-        80,
-        false,
-    );
-    for threads in [2, 3, 4, 5, 8] {
-        let par = run_threaded(
-            threads,
-            true,
-            &roles,
-            EngineConfig::colocated(),
-            7,
-            6.0,
-            80,
-            false,
-        );
-        assert_eq!(seq.0, par.0, "report diverged at {threads} threads");
-        assert_eq!(seq.1, par.1, "trace diverged at {threads} threads");
-    }
-}
-
-/// Directed faulted scenario (TeCrash + Straggler + TransferFlake) under
-/// parallel stepping: crashes land between batches (fault events bound the
-/// lookahead window), so recovery, re-queues and repairs replay exactly.
-#[test]
-fn parallel_stepping_matches_sequential_faulted() {
-    let roles = [TeRole::Colocated, TeRole::Colocated, TeRole::Colocated];
-    let seq = run_threaded(
-        1,
-        true,
-        &roles,
-        EngineConfig::colocated(),
-        13,
-        1.5,
-        50,
-        true,
-    );
-    for threads in [2, 3, 4, 5, 8] {
-        let par = run_threaded(
-            threads,
-            true,
-            &roles,
-            EngineConfig::colocated(),
-            13,
-            1.5,
-            50,
-            true,
-        );
-        assert_eq!(seq.0, par.0, "faulted report diverged at {threads} threads");
-        assert_eq!(seq.1, par.1, "faulted trace diverged at {threads} threads");
-    }
-}
-
 /// Faults, stragglers and migrations force single-step fallback on the
 /// affected TEs — and the overall outcome (latencies, counters, failure
 /// set, makespan) still matches single-stepping bit for bit, trace
@@ -536,13 +392,13 @@ fn fast_forward_matches_single_step_faulted() {
 //
 // The fleet layer (cold starts through the storage hierarchy, multicast
 // scale-out, HBM eviction) routes everything through `sched`, so the same
-// contract applies: report AND trace byte-identical at any thread count,
-// with fast-forward on or off, in every cold-start mode.
+// contract applies: a rerun replays report AND trace byte for byte, and
+// fast-forward on or off renders the same report, in every cold-start
+// mode.
 
 /// One full traced fleet run over a skewed multi-model trace; returns the
 /// serialized report and the serialized lifecycle trace.
 fn run_fleet(
-    threads: usize,
     fast_forward: bool,
     mode: ColdStartMode,
     seed: u64,
@@ -554,7 +410,6 @@ fn run_fleet(
     let reqs = materialize_fleet_trace(&specs, 64_000);
     let roles = [TeRole::Colocated, TeRole::Colocated, TeRole::Colocated];
     let mut sim = ClusterSim::new(ClusterConfig::standard_34b(), &roles);
-    sim.set_threads(threads);
     sim.set_fast_forward(fast_forward);
     sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
     let cfg = FleetConfig {
@@ -571,16 +426,14 @@ fn run_fleet(
 }
 
 proptest! {
-    /// Random fleet workloads x thread counts x pacings x cold-start
-    /// modes: the sequential loop vs worker pools must produce
-    /// byte-identical serialized reports AND traces.
+    /// Random fleet workloads x cold-start modes: fast-forward on vs off
+    /// must render byte-identical reports. (Traces legitimately differ:
+    /// macro-stepping coarsens iteration spans.)
     #[test]
     fn fleet_runs_are_bit_identical(
         seed in 0u64..10_000,
         models in 3usize..24,
         n_reqs in 8usize..32,
-        fast_forward in 0usize..2,
-        threads_idx in 0usize..5,
         mode_idx in 0usize..3,
     ) {
         let mode = [
@@ -588,67 +441,77 @@ proptest! {
             ColdStartMode::Hierarchy,
             ColdStartMode::HierarchyMulticast,
         ][mode_idx];
-        let threads = [2usize, 3, 4, 5, 8][threads_idx];
-        let ff = fast_forward == 1;
-        let seq = run_fleet(1, ff, mode, seed, models, n_reqs);
-        let par = run_fleet(threads, ff, mode, seed, models, n_reqs);
-        prop_assert_eq!(&seq.0, &par.0, "fleet report diverged at {} threads", threads);
-        prop_assert_eq!(&seq.1, &par.1, "fleet trace diverged at {} threads", threads);
+        let ff = run_fleet(true, mode, seed, models, n_reqs);
+        let ss = run_fleet(false, mode, seed, models, n_reqs);
+        prop_assert_eq!(&ff.0, &ss.0, "fleet report diverged between pacings");
     }
 }
 
 /// Directed fleet scenario: skewed 16-model trace, hierarchy cold starts.
-/// Reports and traces must not move by a byte across thread counts or
-/// fast-forward settings — and replaying the identical configuration
-/// reproduces the run exactly.
+/// Replaying the identical configuration reproduces report and trace
+/// exactly, and single-stepping renders the same report.
 #[test]
-fn fleet_replay_is_bit_identical_across_threads() {
-    let base = run_fleet(1, true, ColdStartMode::Hierarchy, 17, 16, 40);
+fn fleet_replay_is_bit_identical() {
+    let base = run_fleet(true, ColdStartMode::Hierarchy, 17, 16, 40);
     assert_eq!(
         base,
-        run_fleet(1, true, ColdStartMode::Hierarchy, 17, 16, 40),
+        run_fleet(true, ColdStartMode::Hierarchy, 17, 16, 40),
         "same seed must replay exactly"
     );
-    for threads in [2, 3, 4, 5, 8] {
-        let par = run_fleet(threads, true, ColdStartMode::Hierarchy, 17, 16, 40);
-        assert_eq!(base.0, par.0, "fleet report diverged at {threads} threads");
-        assert_eq!(base.1, par.1, "fleet trace diverged at {threads} threads");
-    }
     // Fast-forward changes how many engine iterations the trace records
     // (macro-stepping coarsens iteration spans), so only the *report* is
     // byte-comparable across pacings — same caveat as
     // `fast_forward_matches_single_step_faulted`.
-    let ss = run_fleet(1, false, ColdStartMode::Hierarchy, 17, 16, 40);
+    let ss = run_fleet(false, ColdStartMode::Hierarchy, 17, 16, 40);
     assert_eq!(base.0, ss.0, "fast-forward diverged on the fleet path");
 }
 
 /// Same contract with multicast scale-out in play: a hot head model under
 /// a concentrated trace forks replicas mid-run, and the run still replays
-/// byte-for-byte at every thread count.
+/// byte for byte.
 #[test]
-fn fleet_multicast_is_bit_identical_across_threads() {
+fn fleet_multicast_is_bit_identical() {
     // Few models + real pressure so scale-out actually triggers.
-    let base = run_fleet(1, true, ColdStartMode::HierarchyMulticast, 5, 3, 60);
-    for threads in [2, 3, 4, 5, 8] {
-        let par = run_fleet(threads, true, ColdStartMode::HierarchyMulticast, 5, 3, 60);
-        assert_eq!(
-            base.0, par.0,
-            "multicast report diverged at {threads} threads"
-        );
-        assert_eq!(
-            base.1, par.1,
-            "multicast trace diverged at {threads} threads"
-        );
-    }
-    let ss = run_fleet(1, false, ColdStartMode::HierarchyMulticast, 5, 3, 60);
+    let base = run_fleet(true, ColdStartMode::HierarchyMulticast, 5, 3, 60);
+    assert_eq!(
+        base,
+        run_fleet(true, ColdStartMode::HierarchyMulticast, 5, 3, 60),
+        "multicast run must replay exactly"
+    );
+    let ss = run_fleet(false, ColdStartMode::HierarchyMulticast, 5, 3, 60);
     assert_eq!(base.0, ss.0, "fast-forward diverged with multicast");
+}
+
+// ---- streamed vs materialized injection --------------------------------
+
+/// One full traced run; returns the serialized report and the serialized
+/// lifecycle trace.
+fn run_traced(
+    fast_forward: bool,
+    roles: &[TeRole],
+    engine: EngineConfig,
+    seed: u64,
+    rps: f64,
+    n_reqs: usize,
+) -> (String, String) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let reqs = materialize_trace(&ChatTrace::paper(rps).generate(&mut rng, n_reqs), 64_000);
+    let cfg = ClusterConfig {
+        policy: Policy::Combined,
+        engine,
+        ..ClusterConfig::standard_34b()
+    };
+    let mut sim = ClusterSim::new(cfg, roles);
+    sim.set_fast_forward(fast_forward);
+    sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
+    sim.inject(reqs);
+    let mut report = sim.run_to_completion();
+    (report.to_json().to_json(), report.trace.to_json().to_json())
 }
 
 /// One full traced run with streaming injection (one-lookahead arrival
 /// admission): the trace generator stays a lazy iterator end to end.
-#[allow(clippy::too_many_arguments)]
 fn run_streamed(
-    threads: usize,
     fast_forward: bool,
     roles: &[TeRole],
     engine: EngineConfig,
@@ -663,7 +526,6 @@ fn run_streamed(
         ..ClusterConfig::standard_34b()
     };
     let mut sim = ClusterSim::new(cfg, roles);
-    sim.set_threads(threads);
     sim.set_fast_forward(fast_forward);
     sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
     sim.inject_stream(deepserve::stream_trace(stream, 64_000));
@@ -675,7 +537,7 @@ proptest! {
     /// Streaming injection vs materialized injection: a `ChatTrace` fed
     /// lazily through `inject_stream` (O(1) resident requests) must
     /// reproduce the materialized `inject` run byte for byte — same
-    /// report, same trace — across thread counts and pacing modes.
+    /// report, same trace — in both pacing modes.
     #[test]
     fn streaming_injection_is_bit_identical(
         seed in 0u64..10_000,
@@ -683,7 +545,6 @@ proptest! {
         n_reqs in 8usize..40,
         topo in 0usize..4,
         fast_forward in 0usize..2,
-        threads_idx in 0usize..6,
     ) {
         let roles: &[TeRole] = match topo {
             0 => &[TeRole::Colocated, TeRole::Colocated],
@@ -691,68 +552,12 @@ proptest! {
             2 => &[TeRole::Prefill, TeRole::Prefill, TeRole::Decode],
             _ => &[TeRole::Prefill, TeRole::Decode, TeRole::Colocated],
         };
-        let threads = [1usize, 2, 3, 4, 5, 8][threads_idx];
         let rps = rps_x10 as f64 / 10.0;
         let ff = fast_forward == 1;
         let engine = EngineConfig::colocated();
-        let mat = run_threaded(threads, ff, roles, engine.clone(), seed, rps, n_reqs, false);
-        let streamed = run_streamed(threads, ff, roles, engine, seed, rps, n_reqs);
-        prop_assert_eq!(&mat.0, &streamed.0, "streaming report diverged at {} threads", threads);
-        prop_assert_eq!(&mat.1, &streamed.1, "streaming trace diverged at {} threads", threads);
+        let mat = run_traced(ff, roles, engine.clone(), seed, rps, n_reqs);
+        let streamed = run_streamed(ff, roles, engine, seed, rps, n_reqs);
+        prop_assert_eq!(&mat.0, &streamed.0, "streaming report diverged");
+        prop_assert_eq!(&mat.1, &streamed.1, "streaming trace diverged");
     }
-}
-
-/// Wide parallel windows are a pure scheduling optimization: with them
-/// disabled (prefill wakes end collection, PR 4 behavior) the run must
-/// not move by a byte — and with them enabled on a PD-disaggregated
-/// topology, prefill wakes must actually join batches.
-#[test]
-fn wide_windows_are_pure_perf_and_actually_widen() {
-    let roles = [TeRole::Prefill, TeRole::Prefill, TeRole::Decode];
-    let run = |wide: bool| {
-        let mut rng = SimRng::seed_from_u64(7);
-        let reqs = materialize_trace(&ChatTrace::paper(6.0).generate(&mut rng, 80), 64_000);
-        let cfg = ClusterConfig {
-            policy: Policy::Combined,
-            ..ClusterConfig::standard_34b()
-        };
-        let mut sim = ClusterSim::new(cfg, &roles);
-        sim.set_threads(4);
-        sim.set_fast_forward(true);
-        sim.set_wide_windows(wide);
-        sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
-        sim.inject(reqs);
-        let mut report = sim.run_to_completion();
-        let stats = sim.exec_stats();
-        (
-            report.to_json().to_json(),
-            report.trace.to_json().to_json(),
-            stats,
-        )
-    };
-    let narrow = run(false);
-    let wide = run(true);
-    assert_eq!(narrow.0, wide.0, "wide windows changed the report");
-    assert_eq!(narrow.1, wide.1, "wide windows changed the trace");
-    let (_, _, (n_batches, n_members, n_prefill, n_seq)) = narrow.clone();
-    let (_, _, (w_batches, w_members, w_prefill, w_seq)) = wide;
-    assert_eq!(
-        n_prefill, 0,
-        "narrow batches must not contain prefill wakes"
-    );
-    assert!(w_prefill > 0, "wide batches must contain prefill wakes");
-    assert!(
-        n_seq > 0,
-        "narrow windows must force prefill wakes through the sequential path"
-    );
-    // Effective width counts forced-sequential wakes as width-1 windows;
-    // admitting prefill wakes must widen it.
-    let eff =
-        |batches: u64, members: u64, seq: u64| (members + seq) as f64 / (batches + seq) as f64;
-    assert!(
-        eff(w_batches, w_members, w_seq) >= eff(n_batches, n_members, n_seq),
-        "wide windows must not shrink effective window width: \
-         wide ({w_members}+{w_seq})/({w_batches}+{w_seq}), \
-         narrow ({n_members}+{n_seq})/({n_batches}+{n_seq})"
-    );
 }

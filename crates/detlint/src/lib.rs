@@ -2,12 +2,11 @@
 //!
 //! The simulator's crown-jewel guarantee is bit-identical replay: a run is
 //! a pure function of `(seed, plan)`, and reports/traces are byte-equal
-//! across fast-forward and thread counts. That guarantee rests on a handful
-//! of coding invariants (no hash-order iteration on report paths, no wall
-//! clock, no stray threads, no foreign RNG, no panicking library paths,
-//! justified `unsafe`, raw `std::sync` primitives contained to the
-//! model-checked shim surface, and no nested locking without a written
-//! lock order). This crate enforces them statically: a hand-rolled
+//! with fast-forward on or off. That guarantee rests on a handful of
+//! coding invariants (no hash-order iteration on report paths, no wall
+//! clock, no threads, no foreign RNG, no panicking library paths,
+//! justified `unsafe`, and no `std::sync` blocking primitives). This
+//! crate enforces them statically: a hand-rolled
 //! lexer strips comments/literals, a line-level rule engine flags
 //! violations, and an inline waiver syntax records the justification for
 //! every deliberate exception.

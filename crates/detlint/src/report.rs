@@ -5,8 +5,9 @@ use crate::rules::{FileReport, Violation, Waiver, RULES};
 
 /// Schema version of the JSON report. Bump on any breaking shape change;
 /// the fixture suite pins the current shape. v2: added the `raw-sync` and
-/// `lock-order` rules and a `bad-waiver` entry in `per_rule`.
-pub const SCHEMA_VERSION: u64 = 2;
+/// `lock-order` rules and a `bad-waiver` entry in `per_rule`. v3: removed
+/// the `lock-order` rule.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Per-rule tallies in the JSON report.
 #[derive(Debug, serde::Serialize)]

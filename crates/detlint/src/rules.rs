@@ -7,12 +7,11 @@
 //! |-----------------|----------------------------------------------------------------|
 //! | `unordered-iter`| no hash-order iteration feeds a report or trace                |
 //! | `wall-clock`    | sim code reads `SimTime`, never the host clock                 |
-//! | `thread`        | threads exist only in the cluster coordinator                  |
+//! | `thread`        | the simulator is single-threaded: no thread spawns             |
 //! | `rng`           | randomness flows only through `simcore::SimRng`                |
 //! | `panic`         | library code degrades gracefully instead of panicking          |
 //! | `unsafe`        | every `unsafe` block justifies itself with a `// SAFETY:` note |
-//! | `raw-sync`      | `std::sync` primitives stay inside the model-checked surface   |
-//! | `lock-order`    | no nested lock acquisition without a written lock order        |
+//! | `raw-sync`      | no `std::sync` blocking or ordering primitives                 |
 //!
 //! A site can be waived with an inline comment carrying a written
 //! justification:
@@ -28,8 +27,8 @@
 use crate::lexer::LexedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The eight enforced rules, in report order.
-pub const RULES: [&str; 8] = [
+/// The seven enforced rules, in report order.
+pub const RULES: [&str; 7] = [
     "unordered-iter",
     "wall-clock",
     "thread",
@@ -37,7 +36,6 @@ pub const RULES: [&str; 8] = [
     "panic",
     "unsafe",
     "raw-sync",
-    "lock-order",
 ];
 
 /// Crates whose non-test code feeds reports/traces: hash-order iteration
@@ -55,34 +53,13 @@ pub const REPORT_CRATES: [&str; 7] = [
     "gateway",
 ];
 
-/// The modules allowed to spawn threads: the cluster coordinator, the
-/// persistent worker pool it dispatches waves into, and the detcheck
-/// scheduler (which owns every OS thread a model run creates).
-pub const THREAD_ALLOWED: [&str; 3] = [
-    "crates/core/src/cluster.rs",
-    "crates/core/src/pool.rs",
-    "crates/detcheck/src/sched.rs",
-];
-
-/// The files allowed to name `std::sync` primitives directly: the shim
-/// swap points that compile against either std or the detcheck scheduler.
-/// Everything else must go through `simcore::sync` / `detcheck::sync` so
-/// the model checker sees every lock, wait, notify and channel op. The
-/// detcheck crate's own src tree (the shim implementation) is also
-/// exempt — see [`raw_sync_allowed`].
-pub const RAW_SYNC_ALLOWED: [&str; 2] = ["crates/simcore/src/sync.rs", "crates/core/src/pool.rs"];
-
 /// `std::sync` members that carry synchronization semantics. `Arc` and
 /// `PoisonError` are deliberately absent: sharing and poison handling are
-/// inert, it is blocking/ordering primitives the model checker must own.
+/// inert; it is blocking and ordering primitives that would let thread
+/// scheduling leak into a run.
 const RAW_SYNC_TYPES: [&str; 8] = [
     "Mutex", "RwLock", "Condvar", "Barrier", "OnceLock", "Once", "mpsc", "atomic",
 ];
-
-/// Whether a workspace-relative path may use raw `std::sync` primitives.
-pub fn raw_sync_allowed(rel: &str) -> bool {
-    RAW_SYNC_ALLOWED.contains(&rel) || rel.starts_with("crates/detcheck/src/")
-}
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -121,8 +98,7 @@ pub struct Scope {
     pub d1: bool,
     /// `wall-clock` (everywhere but `crates/bench`).
     pub d2: bool,
-    /// `thread` (everywhere but the cluster coordinator and its worker
-    /// pool, [`THREAD_ALLOWED`]).
+    /// `thread` (everywhere outside test code).
     pub d3: bool,
     /// `rng` (everywhere).
     pub d4: bool,
@@ -130,12 +106,8 @@ pub struct Scope {
     pub d5: bool,
     /// `unsafe` (everywhere, including tests).
     pub d6: bool,
-    /// `raw-sync` (everywhere but the shim swap points,
-    /// [`raw_sync_allowed`]).
+    /// `raw-sync` (everywhere outside test code).
     pub d7: bool,
-    /// `lock-order` (only *inside* the raw-sync surface — that is where
-    /// real locks live, so that is where nesting can deadlock).
-    pub d8: bool,
     /// Whole file is test code (`tests/`, `benches/` directories).
     pub test_file: bool,
 }
@@ -152,12 +124,11 @@ impl Scope {
         Scope {
             d1: in_report_crate && !test_file,
             d2: !in_bench && !test_file,
-            d3: !THREAD_ALLOWED.contains(&rel) && !test_file,
+            d3: !test_file,
             d4: !test_file,
             d5: in_report_crate && !test_file,
             d6: true,
-            d7: !raw_sync_allowed(rel) && !test_file,
-            d8: raw_sync_allowed(rel) && !test_file,
+            d7: !test_file,
             test_file,
         }
     }
@@ -619,8 +590,8 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
                             idx,
                             "thread",
                             format!(
-                                "`thread::{f}`: threads are allowed only in {}",
-                                THREAD_ALLOWED.join(", ")
+                                "`thread::{f}`: the simulator is single-threaded; \
+                                 threads belong only in tests/ and benches/"
                             ),
                         ));
                         break;
@@ -701,10 +672,8 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
                             idx,
                             "raw-sync",
                             format!(
-                                "`std::sync::{t}`: raw sync primitives live only in {}, \
-                                 crates/detcheck/src/ — everything else goes through the \
-                                 detcheck-shimmed layer",
-                                RAW_SYNC_ALLOWED.join(", ")
+                                "`std::sync::{t}`: the simulator is single-threaded; \
+                                 sync primitives belong only in tests/ and benches/"
                             ),
                         ));
                         break;
@@ -730,11 +699,6 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
                 ));
             }
         }
-    }
-
-    // D8 — lock-order (stateful pass: guard liveness spans lines).
-    if scope.d8 {
-        lock_order_candidates(file, &mask, scope.test_file, &mut candidates);
     }
 
     // Waiver filtering.
@@ -811,86 +775,6 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
     FileReport {
         violations,
         waivers,
-    }
-}
-
-/// D8 — lock-order: within the raw-sync surface, flag a `.lock(` while a
-/// guard from an earlier `let … = ….lock(…)` on a previous line is still
-/// live. A guard dies when its enclosing block closes or on an explicit
-/// `drop(name)`. This is a conservative line-oriented heuristic (a
-/// dereferenced `let v = *m.lock()…` temporary is tracked like a guard);
-/// intentional nesting is waived with the written global lock order.
-fn lock_order_candidates(
-    file: &LexedFile,
-    mask: &[bool],
-    test_file: bool,
-    candidates: &mut Vec<(usize, &'static str, String)>,
-) {
-    let mut depth: i32 = 0;
-    let mut guards: Vec<(String, i32)> = Vec::new(); // (binding, decl depth)
-    for (idx, line) in file.code.iter().enumerate() {
-        let chars: Vec<char> = line.chars().collect();
-        // `drop(name)` releases a tracked guard early.
-        for dp in find_word(line, "drop") {
-            let open = dp + "drop".len();
-            if chars.get(open) != Some(&'(') {
-                continue;
-            }
-            let Some(close) = chars[open + 1..].iter().position(|&c| c == ')') else {
-                continue;
-            };
-            let name: String = chars[open + 1..open + 1 + close].iter().collect();
-            let name = name.trim();
-            if let Some(at) = guards.iter().rposition(|(g, _)| g == name) {
-                guards.remove(at);
-            }
-        }
-        let locks_here = line.contains(".lock(");
-        if locks_here && !(mask[idx] || test_file) {
-            if let Some((held, _)) = guards.last() {
-                candidates.push((
-                    idx,
-                    "lock-order",
-                    format!(
-                        "`.lock()` while `{held}` is held: nested lock acquisition \
-                         risks deadlock by order inversion — waive with the intended \
-                         global lock order"
-                    ),
-                ));
-            }
-        }
-        // `let [mut] name = ….lock(…)` starts a tracked guard, scoped to
-        // the block depth at the start of this line.
-        if locks_here {
-            if let Some(lp) = find_word(line, "let").first().copied() {
-                let mut k = lp + "let".len();
-                while chars.get(k).is_some_and(|c| c.is_whitespace()) {
-                    k += 1;
-                }
-                if word_at(&chars, k, "mut") {
-                    k += "mut".len();
-                    while chars.get(k).is_some_and(|c| c.is_whitespace()) {
-                        k += 1;
-                    }
-                }
-                let start = k;
-                while chars.get(k).is_some_and(|&c| is_ident_char(c)) {
-                    k += 1;
-                }
-                if k > start {
-                    let name: String = chars[start..k].iter().collect();
-                    guards.push((name, depth));
-                }
-            }
-        }
-        for c in &chars {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        guards.retain(|&(_, d)| depth >= d);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Fixture-corpus tests: one deliberate violation and one valid waiver per
-//! rule, scope exemptions (bench, cluster coordinator, test code), lexer
-//! tricky cases, and the JSON report shape. The corpus lives in
+//! rule, scope exemptions (bench, test code), lexer tricky cases, and the
+//! JSON report shape. The corpus lives in
 //! `fixtures/ws/` and is excluded from real scans by `scan::SKIP_PREFIXES`.
 
 use detlint::scan;
@@ -39,7 +39,6 @@ fn fixture_violations_exact() {
         ("crates/simcore/src/panics.rs", 12, "panic"),
         ("crates/simcore/src/randomness.rs", 2, "rng"),
         ("crates/simcore/src/raw_sync.rs", 2, "raw-sync"),
-        ("crates/simcore/src/sync.rs", 11, "lock-order"),
         ("crates/simcore/src/threading.rs", 2, "thread"),
         ("crates/simcore/src/unsafe_block.rs", 2, "unsafe"),
         ("crates/simcore/tests/integration.rs", 17, "unsafe"),
@@ -48,7 +47,7 @@ fn fixture_violations_exact() {
     .map(|(f, l, r)| (f.to_string(), *l, r.to_string()))
     .collect();
     assert_eq!(got, expected, "violation set must match the corpus exactly");
-    assert_eq!(report.files_scanned, 17);
+    assert_eq!(report.files_scanned, 14);
     assert!(!report.is_clean());
 }
 
@@ -74,19 +73,13 @@ fn fixture_diagnostics_render_exact() {
          for (_, v) in &self.loads {\n",
         "crates/simcore/src/clock.rs:2: [wall-clock] `std::time`: sim code must read \
          SimTime, never the host clock\n",
-        "crates/simcore/src/threading.rs:2: [thread] `thread::spawn`: threads are allowed \
-         only in crates/core/src/cluster.rs, crates/core/src/pool.rs, \
-         crates/detcheck/src/sched.rs\n",
+        "crates/simcore/src/threading.rs:2: [thread] `thread::spawn`: the simulator is \
+         single-threaded; threads belong only in tests/ and benches/\n",
         "crates/simcore/src/randomness.rs:2: [rng] `thread_rng`: randomness must flow \
          through simcore::SimRng\n",
-        "crates/simcore/src/raw_sync.rs:2: [raw-sync] `std::sync::Mutex`: raw sync \
-         primitives live only in crates/simcore/src/sync.rs, crates/core/src/pool.rs, \
-         crates/detcheck/src/ — everything else goes through the detcheck-shimmed layer\n    \
+        "crates/simcore/src/raw_sync.rs:2: [raw-sync] `std::sync::Mutex`: the simulator \
+         is single-threaded; sync primitives belong only in tests/ and benches/\n    \
          let m = std::sync::Mutex::new(7u32);\n",
-        "crates/simcore/src/sync.rs:11: [lock-order] `.lock()` while `ga` is held: \
-         nested lock acquisition risks deadlock by order inversion — waive with the \
-         intended global lock order\n    \
-         let gb = self.b.lock().unwrap_or_else(PoisonError::into_inner);\n",
         "crates/simcore/src/panics.rs:2: [panic] `unwrap()`: library code must degrade \
          gracefully (debug_assert + fallback) instead of panicking\n    v.unwrap()\n",
         "crates/simcore/src/unsafe_block.rs:2: [unsafe] `unsafe` without a `// SAFETY:` \
@@ -114,7 +107,7 @@ fn fixture_diagnostics_render_exact() {
 
     // Summary footer.
     assert!(
-        text.contains("detlint: 17 file(s) scanned, 16 violation(s), 12 waiver(s)"),
+        text.contains("detlint: 14 file(s) scanned, 15 violation(s), 11 waiver(s)"),
         "summary mismatch:\n{text}"
     );
 }
@@ -122,7 +115,7 @@ fn fixture_diagnostics_render_exact() {
 #[test]
 fn fixture_waiver_audit() {
     let report = scan(&fixture_root()).expect("fixture scan");
-    assert_eq!(report.waivers.len(), 12);
+    assert_eq!(report.waivers.len(), 11);
 
     let by_loc: Vec<(&str, usize, &str, bool, bool)> = report
         .waivers
@@ -171,7 +164,6 @@ fn fixture_waiver_audit() {
         ("crates/simcore/src/panics.rs", 11, "panic", true, true),
         ("crates/simcore/src/randomness.rs", 7, "rng", true, false),
         ("crates/simcore/src/raw_sync.rs", 6, "raw-sync", true, false),
-        ("crates/simcore/src/sync.rs", 17, "lock-order", true, false),
         ("crates/simcore/src/threading.rs", 6, "thread", true, false),
         ("crates/simcore/src/tricky.rs", 21, "panic", false, false),
     ];
@@ -181,14 +173,10 @@ fn fixture_waiver_audit() {
     );
 
     let audit = report.render_waivers();
-    assert!(audit.starts_with("12 waiver(s) declared:\n"));
+    assert!(audit.starts_with("11 waiver(s) declared:\n"));
     assert!(audit.contains(
         "crates/simcore/src/raw_sync.rs:6: allow(raw-sync) — \
          one-shot init flag for a doc example, not sim state"
-    ));
-    assert!(audit.contains(
-        "crates/simcore/src/sync.rs:17: allow(lock-order) — \
-         global order is a-then-b, held everywhere"
     ));
     assert!(audit.contains(
         "crates/core/src/fleet.rs:21: allow(unordered-iter) — \
@@ -211,13 +199,10 @@ fn fixture_waiver_audit() {
 #[test]
 fn fixture_scope_exemptions_hold() {
     let report = scan(&fixture_root()).expect("fixture scan");
-    // Wall-clock reads in crates/bench, threads in the cluster coordinator
-    // and its worker pool, and anything (but unjustified `unsafe`) in
-    // tests/ are all exempt.
+    // Wall-clock reads in crates/bench and anything (but unjustified
+    // `unsafe`) in tests/ are exempt.
     for exempt in [
         "crates/bench/src/timing.rs",
-        "crates/core/src/cluster.rs",
-        "crates/core/src/pool.rs",
         "crates/simcore/src/cfg_test.rs",
         "crates/simcore/src/tricky.rs",
     ] {
@@ -235,16 +220,6 @@ fn fixture_scope_exemptions_hold() {
         .map(|v| v.rule.as_str())
         .collect();
     assert_eq!(test_file_rules, ["unsafe"]);
-    // The shim swap points may name std::sync directly (raw-sync exempt
-    // there), but lock-order applies exactly there: the nested acquisition
-    // is flagged while the file's raw `use std::sync::Mutex` is not.
-    let sync_rules: Vec<&str> = report
-        .violations
-        .iter()
-        .filter(|v| v.file == "crates/simcore/src/sync.rs")
-        .map(|v| v.rule.as_str())
-        .collect();
-    assert_eq!(sync_rules, ["lock-order"]);
 }
 
 #[test]
@@ -255,11 +230,11 @@ fn json_report_round_trips() {
 
     assert_eq!(
         value.get("schema_version").and_then(|v| v.as_u64()),
-        Some(2)
+        Some(3)
     );
     assert_eq!(
         value.get("files_scanned").and_then(|v| v.as_u64()),
-        Some(17)
+        Some(14)
     );
 
     let violations = value
@@ -284,7 +259,7 @@ fn json_report_round_trips() {
         .get("waivers")
         .and_then(|v| v.as_array())
         .expect("waivers array");
-    assert_eq!(waivers.len(), 12);
+    assert_eq!(waivers.len(), 11);
     assert_eq!(waivers[0].get("used").and_then(|v| v.as_bool()), Some(true));
 
     // Every diagnostic record carries its rule name.
@@ -301,7 +276,7 @@ fn json_report_round_trips() {
         );
     }
 
-    // Per-rule tallies: all eight rules in declaration order, then the
+    // Per-rule tallies: all seven rules in declaration order, then the
     // bad-waiver tally.
     let per_rule = value
         .get("per_rule")

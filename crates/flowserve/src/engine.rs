@@ -204,9 +204,9 @@ pub struct Engine {
     scratch_costs: Vec<SimDuration>,
 }
 
-/// Parallel cluster stepping moves owned `Engine`s through channels to a
-/// persistent worker pool, so the engine must stay a plain owned `Send`
-/// value — no `Rc`, `RefCell`, raw pointers or thread-local handles. This
+/// A whole cluster simulation can move to a serving thread (the gateway
+/// runs one there), so the engine must stay a plain owned `Send` value —
+/// no `Rc`, `RefCell`, raw pointers or thread-local handles. This
 /// assertion turns an accidental regression (e.g. a future cache wrapped
 /// in `Rc`) into a compile error at the definition site instead of a
 /// borrow-checker riddle in `deepserve`.
@@ -276,17 +276,6 @@ impl Engine {
     /// The cost model in use.
     pub fn cost_model(&self) -> &ExecCostModel {
         &self.cost
-    }
-
-    /// End time of the in-flight iteration, if one is running.
-    pub fn current_iteration_end(&self) -> Option<SimTime> {
-        self.current.as_ref().map(|it| it.ends_at)
-    }
-
-    /// Lower bound on the span of any iteration this engine can start
-    /// (the cost model's fixed per-iteration floor).
-    pub fn min_iteration_span(&self) -> SimDuration {
-        self.cost.min_step_time()
     }
 
     /// RTC access (read-mostly; platform uses it for context caching).
@@ -1399,89 +1388,5 @@ impl Engine {
     /// KV tokens a migrating request will ship (for transfer sizing).
     pub fn migration_kv_tokens(&self, id: RequestId) -> Option<usize> {
         self.requests.get(id).map(|r| r.table.tokens())
-    }
-
-    /// Read-only lookahead: the [`EngineEvent::PrefillComplete`]s the next
-    /// [`Engine::advance`] at `at` will emit, as `(id, kv_tokens)` pairs
-    /// appended to `out`.
-    ///
-    /// The cluster's wide parallel windows use this to bound a prefill
-    /// wake's earliest cross-TE effect (the KV migrations it will start)
-    /// *before* running the wake on a worker thread. The answer is exact:
-    /// an in-flight iteration's prefill parts are frozen at batch
-    /// formation, a part completes its request iff it covers the whole
-    /// remaining prefill, and the block table was already extended to the
-    /// full chunk when the batch formed, so `table.tokens()` equals the
-    /// `kv_tokens` the completion event will carry.
-    pub fn peek_prefill_completions(&self, at: SimTime, out: &mut Vec<(RequestId, usize)>) {
-        let Some(it) = &self.current else {
-            return;
-        };
-        if it.ends_at > at {
-            return;
-        }
-        for &(id, chunk) in &it.prefill_parts {
-            let Some(req) = self.requests.get(id) else {
-                continue;
-            };
-            if req.phase == Phase::Prefilling && req.prefill_remaining() == chunk {
-                out.push((id, req.table.tokens()));
-            }
-        }
-    }
-
-    /// Lower bound on the span of the next iteration a `PrefillOnly`
-    /// engine could start from a wake at `at` (decode work would
-    /// invalidate the bound — callers must not use it on other modes).
-    ///
-    /// Any batch [`form_batch`](Engine::form_batch) can produce draws its
-    /// prefill parts from `running_prefill` and `waiting`. Write
-    /// `T_j = min(remaining_j, chunk_budget)` for candidate `j`'s largest
-    /// possible chunk. For the batch's smallest-context member `k`, the
-    /// batch's total tokens reach at least `T_k` (either `k`'s chunk was
-    /// budget-truncated — then the batch consumed the whole budget — or it
-    /// covered `min(remaining_k, budget)` outright), its token-weighted
-    /// context average is at least `ctx_k`, and every per-chunk cost term
-    /// is additive and monotone, so
-    /// `step_time(batch) >= step_time(prefill(T_k, ctx_k)) >= min_j
-    /// step_time(prefill(T_j, ctx_j))`. An iteration in flight at `at`
-    /// completes first, committing its chunks — candidates are adjusted
-    /// for that before pricing. Returns `None` when no prefill work will
-    /// be queued: no iteration can start, so no re-wake is coming.
-    pub fn next_prefill_span_floor(&self, at: SimTime) -> Option<SimDuration> {
-        let budget = self.cfg.prefill_chunk_tokens;
-        // Chunks the due in-flight iteration will commit before the next
-        // batch forms: `(id, chunk)` lowers that request's remaining.
-        let committing = |id: RequestId| -> usize {
-            match &self.current {
-                Some(it) if it.ends_at <= at => it
-                    .prefill_parts
-                    .iter()
-                    .find(|&&(pid, _)| pid == id)
-                    .map_or(0, |&(_, c)| c),
-                _ => 0,
-            }
-        };
-        let mut floor: Option<SimDuration> = None;
-        for id in self
-            .running_prefill
-            .iter()
-            .chain(self.waiting.iter())
-            .copied()
-        {
-            let Some(req) = self.requests.get(id) else {
-                continue;
-            };
-            let done = committing(id);
-            let remaining = req.prefill_remaining().saturating_sub(done);
-            if remaining == 0 {
-                continue; // completes (migration-fenced), never re-chunks
-            }
-            let context = (req.prefilled_tokens + done) as u64;
-            let chunk = remaining.min(budget) as u64;
-            let est = self.cost.step_time(&BatchWork::prefill(chunk, context));
-            floor = Some(floor.map_or(est, |f| f.min(est)));
-        }
-        floor
     }
 }

@@ -5,8 +5,8 @@
 //! final arrival stamp the sim chose ([`deepserve::IngressRecord`]), and
 //! [`replay`] feeds those records through a fresh deterministic cluster.
 //! The contract (DESIGN.md "Serving façade"): the replayed
-//! [`RunReport`]'s JSON is byte-identical to the live run's, at any
-//! thread count and with fast-forward on or off.
+//! [`RunReport`]'s JSON is byte-identical to the live run's, with
+//! fast-forward on or off.
 
 use deepserve::{ClusterSim, IngressRecord, RunReport};
 use serde::{Number, Serialize, Value};

@@ -4,7 +4,7 @@
 //!
 //! One thread does everything — accept, read, parse, submit, step the sim,
 //! stream tokens — so detlint's thread rule holds in this crate with no
-//! waivers (the cluster coordinator keeps its monopoly on worker threads).
+//! waivers.
 //! Sockets are non-blocking; the loop paces itself with
 //! [`crate::pacing::Pacer`], the workspace's only wall-clock site.
 //!

@@ -2,8 +2,8 @@
 //! clock: the live API (`enable_live_ingress` / `submit_live` /
 //! `step_until`) is driven with synthetic arrival stamps, and the
 //! recorded ingress log is replayed through `inject` +
-//! `run_to_completion`. The reports must match byte-for-byte at thread
-//! counts 1 and 4, live and replayed, fast-forward on and off.
+//! `run_to_completion`. The reports must match byte-for-byte, live and
+//! replayed, fast-forward on and off.
 
 use deepserve::{ApiRequest, IngressRecord, LiveEvent};
 use deepserve_gateway::{build_fleet_sim, build_sim, log};
@@ -18,10 +18,9 @@ fn at_ms(ms: u64) -> SimTime {
 /// Drives a live session: a multi-turn conversation (shared prefix +
 /// session cache id) interleaved with one-off requests, stepping sim time
 /// in bounded slices like the gateway's serve loop does.
-fn run_live(threads: usize, fast_forward: bool) -> (String, Vec<IngressRecord>, Vec<LiveEvent>) {
+fn run_live(fast_forward: bool) -> (String, Vec<IngressRecord>, Vec<LiveEvent>) {
     let tok = Tokenizer::default();
     let mut sim = build_sim(2);
-    sim.set_threads(threads);
     sim.set_fast_forward(fast_forward);
     sim.enable_live_ingress();
     sim.set_token_events(true);
@@ -79,41 +78,34 @@ fn run_live(threads: usize, fast_forward: bool) -> (String, Vec<IngressRecord>, 
 }
 
 #[test]
-fn live_and_replay_reports_are_byte_identical_at_threads_1_and_4() {
-    let (live1, ingress, _) = run_live(1, true);
-    let (live4, ingress4, _) = run_live(4, true);
-    assert_eq!(ingress, ingress4, "ingress logs must not depend on threads");
-    assert_eq!(live1, live4, "live report must not depend on threads");
-
-    for threads in [1usize, 4] {
-        for ff in [true, false] {
-            let replayed = log::replay(&ingress, || {
-                let mut s = build_sim(2);
-                s.set_threads(threads);
-                s.set_fast_forward(ff);
-                s
-            })
-            .to_json()
-            .to_json();
-            assert_eq!(
-                live1, replayed,
-                "replay (threads={threads}, ff={ff}) must be byte-identical to the live run"
-            );
-        }
+fn live_and_replay_reports_are_byte_identical() {
+    let (live, ingress, _) = run_live(true);
+    for ff in [true, false] {
+        let replayed = log::replay(&ingress, || {
+            let mut s = build_sim(2);
+            s.set_fast_forward(ff);
+            s
+        })
+        .to_json()
+        .to_json();
+        assert_eq!(
+            live, replayed,
+            "replay (ff={ff}) must be byte-identical to the live run"
+        );
     }
 }
 
 #[test]
 fn live_without_fast_forward_matches_live_with() {
-    let (a, ia, _) = run_live(1, true);
-    let (b, ib, _) = run_live(1, false);
+    let (a, ia, _) = run_live(true);
+    let (b, ib, _) = run_live(false);
     assert_eq!(ia, ib);
     assert_eq!(a, b, "fast-forward must not change the live report");
 }
 
 #[test]
 fn live_events_stream_is_complete_and_ordered() {
-    let (_, ingress, events) = run_live(1, true);
+    let (_, ingress, events) = run_live(true);
     assert_eq!(ingress.len(), 5);
 
     let mut first_seen: HashMap<u64, SimTime> = HashMap::new();
@@ -169,7 +161,7 @@ fn live_events_stream_is_complete_and_ordered() {
 
 #[test]
 fn arrival_stamps_are_strictly_increasing_and_collision_free() {
-    let (_, ingress, _) = run_live(1, true);
+    let (_, ingress, _) = run_live(true);
     for pair in ingress.windows(2) {
         assert!(
             pair[1].arrival_ns > pair[0].arrival_ns,
@@ -182,10 +174,9 @@ fn arrival_stamps_are_strictly_increasing_and_collision_free() {
 /// trigger cold starts mid-serve, a later request rides the warmed
 /// replica, and the recorded ingress log (model tags included) must
 /// replay byte-for-byte.
-fn run_live_fleet(threads: usize, fast_forward: bool) -> (String, Vec<IngressRecord>) {
+fn run_live_fleet(fast_forward: bool) -> (String, Vec<IngressRecord>) {
     let tok = Tokenizer::default();
     let mut sim = build_fleet_sim(2, 3);
-    sim.set_threads(threads);
     sim.set_fast_forward(fast_forward);
     sim.enable_live_ingress();
     sim.set_token_events(true);
@@ -215,7 +206,7 @@ fn run_live_fleet(threads: usize, fast_forward: bool) -> (String, Vec<IngressRec
 
 #[test]
 fn fleet_session_log_replays_byte_for_byte() {
-    let (live, ingress) = run_live_fleet(1, true);
+    let (live, ingress) = run_live_fleet(true);
     // The log captured the model tags.
     let models: Vec<Option<u32>> = ingress.iter().map(|r| r.model).collect();
     assert_eq!(models, vec![Some(0), Some(1), Some(0)]);
@@ -223,32 +214,32 @@ fn fleet_session_log_replays_byte_for_byte() {
     let parsed = log::from_json(&log::to_json(&ingress)).expect("fleet log parses");
     assert_eq!(parsed, ingress);
 
-    // Live at 4 threads matches live at 1.
-    let (live4, ingress4) = run_live_fleet(4, true);
-    assert_eq!(ingress, ingress4);
-    assert_eq!(live, live4, "live fleet report must not depend on threads");
+    // Single-stepping the live session must not move its report either.
+    let (live_ss, ingress_ss) = run_live_fleet(false);
+    assert_eq!(ingress, ingress_ss);
+    assert_eq!(
+        live, live_ss,
+        "fast-forward must not change the live fleet report"
+    );
 
-    for threads in [1usize, 4] {
-        for ff in [true, false] {
-            let mut replayed = log::replay(&ingress, || {
-                let mut s = build_fleet_sim(2, 3);
-                s.set_threads(threads);
-                s.set_fast_forward(ff);
-                s
-            });
-            assert!(replayed.counters.get("fleet.cold_starts") >= 2);
-            assert_eq!(
-                live,
-                replayed.to_json().to_json(),
-                "fleet replay (threads={threads}, ff={ff}) must be byte-identical"
-            );
-        }
+    for ff in [true, false] {
+        let mut replayed = log::replay(&ingress, || {
+            let mut s = build_fleet_sim(2, 3);
+            s.set_fast_forward(ff);
+            s
+        });
+        assert!(replayed.counters.get("fleet.cold_starts") >= 2);
+        assert_eq!(
+            live,
+            replayed.to_json().to_json(),
+            "fleet replay (ff={ff}) must be byte-identical"
+        );
     }
 }
 
 #[test]
 fn session_prefix_reuse_hits_the_cache_on_replay() {
-    let (_, ingress, _) = run_live(1, true);
+    let (_, ingress, _) = run_live(true);
     let report = log::replay(&ingress, || build_sim(2));
     // Turn 2 of the session resends turn 1's transcript with the same
     // cache id — the radix cache must serve that shared prefix instead of

@@ -324,14 +324,6 @@ impl ExecCostModel {
     pub fn recompute_time(&self, tokens: u64) -> SimDuration {
         self.step_time(&BatchWork::prefill(tokens, 0))
     }
-
-    /// Hard lower bound on any non-empty iteration's duration: the fixed
-    /// per-iteration floor ([`ITERATION_FLOOR_US`]). Compute, memory and
-    /// comm terms only add to it. Fault slowdowns multiply wall time and
-    /// are >= 1, so this bound survives them too.
-    pub fn min_step_time(&self) -> SimDuration {
-        SimDuration::from_micros(ITERATION_FLOOR_US)
-    }
 }
 
 #[cfg(test)]

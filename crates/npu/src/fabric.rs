@@ -210,22 +210,6 @@ impl Fabric {
     pub fn active_transfers(&self) -> usize {
         self.transfers.len()
     }
-
-    /// Analytic lone-transfer time between two endpoints (no contention).
-    /// Used by planners that need an estimate before committing.
-    pub fn lone_transfer_estimate(&self, src: NpuId, dst: NpuId, bytes: u64) -> SimDuration {
-        match self.link_kind(src, dst) {
-            LinkKind::Local => SimDuration::ZERO,
-            LinkKind::Hccs => {
-                SimDuration::from_micros(self.spec.hccs.latency_us)
-                    + SimDuration::from_secs_f64(bytes as f64 / self.spec.hccs.bandwidth)
-            }
-            LinkKind::Roce => {
-                SimDuration::from_micros(self.spec.roce.latency_us)
-                    + SimDuration::from_secs_f64(bytes as f64 / self.spec.roce.bandwidth)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,22 +252,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lone_hccs_transfer_matches_estimate() {
+    /// Finish time (seconds) of one `bytes` transfer alone on a fresh
+    /// fabric.
+    fn lone_secs(src: NpuId, dst: NpuId, bytes: u64) -> f64 {
         let mut f = fabric();
-        let src = NpuId::new(0, 0);
-        let dst = NpuId::new(0, 1);
-        let est = f.lone_transfer_estimate(src, dst, GB);
-        f.start_transfer(SimTime::ZERO, src, dst, GB);
+        f.start_transfer(SimTime::ZERO, src, dst, bytes);
         let done = drain(&mut f, SimTime::ZERO);
         assert_eq!(done.len(), 1);
-        let got = done[0].0.as_secs_f64();
-        // Both ports drain at full rate so the estimate (one latency +
-        // bytes/bw) matches within the double-counted setup latency.
-        assert!(
-            (got - est.as_secs_f64()).abs() < 1e-3,
-            "got {got}, est {est}"
-        );
+        done[0].0.as_secs_f64()
+    }
+
+    #[test]
+    fn lone_hccs_transfer_is_latency_plus_bytes_over_bandwidth() {
+        let hccs = fabric().spec.hccs;
+        let want = hccs.latency_us as f64 * 1e-6 + GB as f64 / hccs.bandwidth;
+        let got = lone_secs(NpuId::new(0, 0), NpuId::new(0, 1), GB);
+        // Both ports drain at full rate, so the only slack is the
+        // double-counted setup latency.
+        assert!((got - want).abs() < 1e-3, "got {got}, want {want}");
     }
 
     #[test]
@@ -308,9 +294,7 @@ mod tests {
         let done = drain(&mut f, t0);
         assert_eq!(done.len(), 2);
         let last = done.last().unwrap().0.as_secs_f64();
-        let lone = f
-            .lone_transfer_estimate(NpuId::new(0, 0), dst, GB)
-            .as_secs_f64();
+        let lone = lone_secs(NpuId::new(0, 0), dst, GB);
         assert!(
             last > 1.8 * lone,
             "two flows into one NIC should take ~2x: {last} vs lone {lone}"
@@ -337,9 +321,7 @@ mod tests {
         f.start_transfer(t0, NpuId::new(0, 0), NpuId::new(0, 1), GB);
         f.start_transfer(t0, NpuId::new(0, 2), NpuId::new(0, 3), GB);
         let done = drain(&mut f, t0);
-        let lone = f
-            .lone_transfer_estimate(NpuId::new(0, 0), NpuId::new(0, 1), GB)
-            .as_secs_f64();
+        let lone = lone_secs(NpuId::new(0, 0), NpuId::new(0, 1), GB);
         for (t, _) in done {
             assert!((t.as_secs_f64() - lone).abs() < 1e-3);
         }

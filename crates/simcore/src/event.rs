@@ -181,14 +181,6 @@ impl<E> EventQueue<E> {
         self.front.first().map(|&(t, _, _, _)| t)
     }
 
-    /// The earliest event without removing it, if any.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        let &(_, _, _, shard) = self.front.first()?;
-        self.shards[shard as usize]
-            .peek()
-            .map(|s| (s.time, &s.payload))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -294,25 +286,6 @@ impl<E> Clock<E> {
         self.queue.peek_time()
     }
 
-    /// The next event without popping it.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.queue.peek()
-    }
-
-    /// Pops the next event **without advancing `now`**.
-    ///
-    /// This exists for batched execution: a driver that pops a run of
-    /// homogeneous events to process them together must keep `now` at the
-    /// first event's time, then walk it forward itself (via
-    /// [`Clock::advance_to`]) as it applies each popped event in order —
-    /// otherwise handlers replayed for the earlier events could not
-    /// schedule into the gap before the later ones.
-    pub fn pop_pending(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now, "event queue yielded an event in the past");
-        Some((t, e))
-    }
-
     /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -321,20 +294,6 @@ impl<E> Clock<E> {
     /// Whether any events are pending.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Advances `now` without an event (e.g. to align with an external clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is before the current time.
-    pub fn advance_to(&mut self, to: SimTime) {
-        assert!(
-            to >= self.now,
-            "Clock::advance_to: target {to} is before now ({})",
-            self.now
-        );
-        self.now = to;
     }
 }
 
@@ -519,9 +478,8 @@ mod tests {
         q.push_sharded(1, SimTime::from_millis(2), CLASS_DEFAULT, "early");
         q.push_sharded(2, SimTime::from_millis(4), CLASS_DEFAULT, "mid");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-        assert_eq!(q.peek(), Some((SimTime::from_millis(2), &"early")));
         assert_eq!(q.pop(), Some((SimTime::from_millis(2), "early")));
-        assert_eq!(q.peek(), Some((SimTime::from_millis(4), &"mid")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(4)));
         assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.is_empty() && q.pop().is_none());
@@ -557,35 +515,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_exposes_payload_without_removal() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(3), "b");
-        q.push(SimTime::from_millis(1), "a");
-        assert_eq!(q.peek(), Some((SimTime::from_millis(1), &"a")));
-        assert_eq!(q.len(), 2);
-        let mut c: Clock<&str> = Clock::new();
-        c.schedule(SimTime::from_millis(2), "x");
-        assert_eq!(c.peek(), Some((SimTime::from_millis(2), &"x")));
-        assert_eq!(c.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn pop_pending_leaves_now_untouched() {
-        let mut c: Clock<u32> = Clock::new();
-        c.schedule(SimTime::from_millis(5), 1);
-        c.schedule(SimTime::from_millis(9), 2);
-        let (t1, e1) = c.pop_pending().unwrap();
-        assert_eq!((t1, e1), (SimTime::from_millis(5), 1));
-        assert_eq!(c.now(), SimTime::ZERO);
-        // A batch driver can still schedule into the gap before the
-        // popped event's time, then walk `now` forward explicitly.
-        c.schedule(SimTime::from_millis(3), 3);
-        c.advance_to(SimTime::from_millis(3));
-        assert_eq!(c.next(), Some((SimTime::from_millis(3), 3)));
-        assert_eq!(c.next(), Some((SimTime::from_millis(9), 2)));
     }
 
     #[test]

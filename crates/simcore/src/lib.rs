@@ -19,20 +19,10 @@
 //! * [`fault`] — seeded, replayable fault schedules ([`FaultPlan`]): TE
 //!   crashes, stragglers, link degradation and transfer flakes, injected
 //!   as ordinary events so faulted runs stay bit-for-bit deterministic.
-//! * [`sync`] — coordination primitives for drivers that step components
-//!   on persistent worker threads ([`TaskQueue`], [`Epoch`]); they carry
-//!   opaque jobs and round tags, never simulated state.
 //!
-//! Design rule: **no wall-clock time, no global state, no locking** on the
-//! simulation itself. A simulation is an ordinary value you step;
-//! determinism comes from integer time, ordered queues and seeded RNG
-//! streams, not from synchronization. The kernel itself is
-//! single-threaded; a driver may *step* independent components on worker
-//! threads, but only if it merges their results back in an order it fully
-//! determines (see `deepserve`'s parallel stepping) — the kernel never
-//! hides a thread or a lock behind the simulation API. The [`sync`] module
-//! is the one place locks appear, and it is strictly an execution-strategy
-//! primitive for such drivers: no simulated state ever lives behind it.
+//! Design rule: **no wall-clock time, no global state, no threads.** A
+//! simulation is an ordinary value you step; determinism comes from integer
+//! time, ordered queues and seeded RNG streams, not from locking.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +31,6 @@ pub mod fault;
 pub mod metrics;
 pub mod resource;
 pub mod rng;
-pub mod sync;
 pub mod time;
 pub mod trace;
 
@@ -52,6 +41,5 @@ pub use metrics::{
 };
 pub use resource::{FifoChannel, FlowId, SharedLink};
 pub use rng::SimRng;
-pub use sync::{Epoch, TaskQueue};
 pub use time::{SimDuration, SimTime};
 pub use trace::{AttrValue, EventRecord, SpanId, SpanRecord, Trace, TraceLevel, Tracer};

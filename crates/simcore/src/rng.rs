@@ -64,27 +64,6 @@ impl SimRng {
         SimRng::seed_from_u64(seed)
     }
 
-    /// Derives the `stream`-th child generator **without advancing this
-    /// one** — unlike [`SimRng::fork`], which consumes a draw.
-    ///
-    /// Splitting is for parallel drivers: a coordinator that hands each
-    /// worker its own stream must derive all of them from a state it does
-    /// not mutate, so the set of streams (and everything downstream of the
-    /// parent) is independent of how many workers exist. Two splits with
-    /// the same parent state and index always yield the same stream;
-    /// distinct indices yield uncorrelated streams.
-    pub fn split(&self, stream: u64) -> SimRng {
-        // Mix the full parent state with the stream index through
-        // SplitMix64 so child seeds differ in all bits even for adjacent
-        // indices.
-        let mut sm = self.state[0] ^ self.state[1].rotate_left(17);
-        let _ = splitmix64(&mut sm);
-        sm ^= self.state[2] ^ self.state[3].rotate_left(29);
-        let _ = splitmix64(&mut sm);
-        sm ^= stream.wrapping_mul(0xd1342543de82ef95);
-        SimRng::seed_from_u64(splitmix64(&mut sm))
-    }
-
     /// Uniform draw in `[0, 1)` (53 random mantissa bits).
     pub fn f64(&mut self) -> f64 {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -243,22 +222,6 @@ mod tests {
         assert_eq!(fa.next_u64(), fb.next_u64());
         // Parent stream continues identically after the fork.
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn split_is_deterministic_and_leaves_parent_untouched() {
-        let mut a = SimRng::seed_from_u64(9);
-        let b = SimRng::seed_from_u64(9);
-        let mut s0 = a.split(0);
-        let mut s0b = b.split(0);
-        let mut s1 = a.split(1);
-        assert_eq!(s0.next_u64(), s0b.next_u64());
-        assert_ne!(s0.next_u64(), s1.next_u64());
-        // Parent stream is byte-identical to an unsplit twin.
-        let mut twin = SimRng::seed_from_u64(9);
-        for _ in 0..50 {
-            assert_eq!(a.next_u64(), twin.next_u64());
-        }
     }
 
     #[test]
