@@ -114,6 +114,43 @@ fn bench_prompt_tree(c: &mut Criterion) {
     });
 }
 
+/// One Combined-policy dispatch decision over 256 colocated TEs, with the
+/// JE's prompt tree holding 1,024 users' 128-token prompts spread across
+/// them (user `u` cached on TE `u % 256`). Each iteration also moves one
+/// TE's load, alternating the group spread between 0 (balanced: the
+/// locality path) and 8 (imbalanced: the load path), as the cluster's load
+/// reports would between arrivals.
+fn bench_je_schedule(c: &mut Criterion) {
+    use deepserve::{ApiRequest, JobExecutor, Oracle, Policy};
+    let mut je = JobExecutor::new(
+        Policy::Combined,
+        Heatmap::default_production(),
+        Box::new(Oracle),
+        16,
+    );
+    let tes: Vec<TeId> = (0..256).map(TeId).collect();
+    je.register_pool(&tes, &[]);
+    let reqs: Vec<ApiRequest> = (0..1024u64)
+        .map(|u| ApiRequest::chat(u, synthetic_tokens(u, 128, 64_000), 64, SimTime::ZERO))
+        .collect();
+    for (u, r) in reqs.iter().enumerate() {
+        je.note_cached(SimTime::ZERO, tes[u % 256], false, &r.prompt);
+    }
+    for &te in &tes {
+        je.set_load(te, 2);
+    }
+    c.bench_function("je/schedule_combined_256te", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let spike = if i.is_multiple_of(2) { 2 } else { 10 };
+            je.set_load(tes[255], spike);
+            let d = je.schedule(SimTime::ZERO, &reqs[i % reqs.len()]);
+            i += 1;
+            black_box(d)
+        })
+    });
+}
+
 fn bench_heatmap(c: &mut Criterion) {
     let h = Heatmap::default_production();
     c.bench_function("heatmap/lookup", |b| {
@@ -305,6 +342,7 @@ criterion_group!(
     bench_radix_tree,
     bench_tokenizer,
     bench_prompt_tree,
+    bench_je_schedule,
     bench_heatmap,
     bench_shared_link,
     bench_engine_step,

@@ -11,7 +11,7 @@
 use crate::api::{ApiRequest, IngressRecord};
 use crate::fleet::{ColdStartMode, FleetConfig, LoadState, ModelRegistry};
 use crate::heatmap::Heatmap;
-use crate::je::{Decision, JobExecutor, Policy, SchedPool, Target, TeSnapshot};
+use crate::je::{JobExecutor, Policy, Target};
 use crate::manager::{HealthConfig, HealthMonitor};
 use crate::predictor::{DecodePredictor, FixedAccuracy, Oracle};
 use crate::prompt_tree::TeId;
@@ -490,12 +490,18 @@ impl ClusterSim {
             None => Box::new(Oracle),
             Some(a) => Box::new(FixedAccuracy::new(a, cfg.seed ^ 0x9e37)),
         };
-        let je = JobExecutor::new(
+        let mut je = JobExecutor::new(
             cfg.policy,
             cfg.heatmap.clone(),
             predictor,
             cfg.engine.block_size,
         );
+        let colocated: Vec<TeId> = tes
+            .iter()
+            .filter(|t| t.role == TeRole::Colocated)
+            .map(|t| t.id)
+            .collect();
+        je.register_pool(&colocated, &pairs);
         let fabric = Fabric::new(cfg.cluster.clone());
         // DistFlow control plane: link every TE's head NPU with every other
         // (the paper's LinkCluster over the serving pool).
@@ -1092,33 +1098,59 @@ impl ClusterSim {
         &mut self.tes[id.0 as usize]
     }
 
-    /// Scheduling view of the pool. TEs the health monitor has declared
-    /// down are excluded; TEs that crashed but are not yet detected stay
-    /// routable — the platform cannot know about a failure before its
-    /// heartbeats go missing.
-    fn sched_pool(&self) -> SchedPool {
-        let mut pool = SchedPool::default();
-        for t in &self.tes {
-            if t.detected {
-                continue;
-            }
-            if t.role == TeRole::Colocated {
-                pool.colocated.push(t.id);
-            }
-            pool.loads.insert(
-                t.id,
-                TeSnapshot {
-                    load: t.engine.load(),
-                },
+    /// Mirrors `te`'s engine load into the JE's load index. Called
+    /// wherever an engine's request count can change: at the top of
+    /// `reschedule_wake` (which follows every submit, advance and repair),
+    /// after each migrated-out release, and when detection swaps in a
+    /// fresh engine.
+    fn sync_load(&mut self, te: TeId) {
+        let load = self.tes[te.0 as usize].engine.load();
+        self.je.set_load(te, load);
+    }
+
+    /// Debug builds: the JE's load index must mirror the pool exactly. It
+    /// must hold every routable TE's engine load, and its routable sets
+    /// must be the TEs and pairs the health monitor has not declared down
+    /// (TEs that crashed but are not yet detected stay routable). A missed
+    /// `sync_load` site fails here, at the next dispatch. O(TEs), so
+    /// `dispatch` runs it in debug builds only.
+    fn assert_load_index_in_sync(&self) {
+        let te = |id: TeId| &self.tes[id.0 as usize];
+        for t in self.tes.iter().filter(|t| !t.detected) {
+            assert_eq!(
+                self.je.load(t.id),
+                Some(t.engine.load()),
+                "JE load index drifted for {:?}",
+                t.id
             );
         }
-        pool.pairs = self
+        let mut colocated = 0;
+        for (id, load) in self.je.routable_colocated() {
+            let t = te(id);
+            assert!(t.role == TeRole::Colocated && !t.detected && load == t.engine.load());
+            colocated += 1;
+        }
+        let expected = self
+            .tes
+            .iter()
+            .filter(|t| t.role == TeRole::Colocated && !t.detected);
+        assert_eq!(
+            colocated,
+            expected.count(),
+            "JE routable colocated set drifted"
+        );
+        let mut pairs = 0;
+        for (p, d, load) in self.je.routable_pairs() {
+            let (p, d) = (te(p), te(d));
+            assert!(!p.detected && !d.detected);
+            assert_eq!(load, p.engine.load().max(d.engine.load()));
+            pairs += 1;
+        }
+        let expected = self
             .pairs
             .iter()
-            .copied()
-            .filter(|&(p, d)| !self.tes[p.0 as usize].detected && !self.tes[d.0 as usize].detected)
-            .collect();
-        pool
+            .filter(|&&(p, d)| !te(p).detected && !te(d).detected);
+        assert_eq!(pairs, expected.count(), "JE routable pair set drifted");
     }
 
     fn on_arrival(&mut self, now: SimTime, idx: u32) {
@@ -1166,10 +1198,12 @@ impl ClusterSim {
                 return;
             }
         }
-        let pool = self.sched_pool();
-        if pool.colocated.is_empty() && pool.pairs.is_empty() {
-            // Every routable TE is detected-down; park the request until a
-            // repair restores capacity.
+        if cfg!(debug_assertions) {
+            self.assert_load_index_in_sync();
+        }
+        let Some(decision) = self.je.schedule(now, &req) else {
+            // Every TE is detected-down; park the request until a repair
+            // restores capacity.
             self.counters.incr("sim.dispatch_deferred");
             let gen = self.slot_gen[idx as usize];
             self.sched(
@@ -1177,8 +1211,7 @@ impl ClusterSim {
                 Event::Redispatch(idx, gen),
             );
             return;
-        }
-        let decision: Decision = self.je.schedule(now, &req, &pool);
+        };
         let new = NewRequest {
             id: req.id,
             prompt: req.prompt.clone(),
@@ -1226,6 +1259,9 @@ impl ClusterSim {
     }
 
     fn reschedule_wake(&mut self, now: SimTime, te_id: TeId) {
+        // Before the liveness check: a crashed TE the monitor has not yet
+        // noticed still takes submissions, and the JE must see them.
+        self.sync_load(te_id);
         if !self.tes[te_id.0 as usize].alive {
             return;
         }
@@ -1369,6 +1405,13 @@ impl ClusterSim {
             .map(|r| r.prompt.clone())
     }
 
+    /// Frees `te`'s copy of a request whose KV migrated out (or never
+    /// will), and reports the lower load to the JE.
+    fn release_migrated(&mut self, now: SimTime, te: TeId, id: RequestId) {
+        self.te_mut(te).engine.release_migrated(now, id);
+        self.sync_load(te);
+    }
+
     fn start_migration(
         &mut self,
         now: SimTime,
@@ -1395,7 +1438,7 @@ impl ClusterSim {
         }
         let Some(to) = self.decode_route.remove(&id) else {
             // No route (e.g. context-cache-create): release immediately.
-            self.te_mut(from).engine.release_migrated(now, id);
+            self.release_migrated(now, from, id);
             return;
         };
         if !self.tes[to.0 as usize].alive {
@@ -1403,7 +1446,7 @@ impl ClusterSim {
             // the prefill copy and send the request back through the JE.
             self.pending_migration.remove(&id);
             self.counters.incr("sim.migrations_aborted");
-            self.te_mut(from).engine.release_migrated(now, id);
+            self.release_migrated(now, from, id);
             self.reschedule_wake(now, from);
             self.requeue(now, id);
             return;
@@ -1412,7 +1455,7 @@ impl ClusterSim {
             // Metadata lost (bookkeeping bug): loud in debug builds; in
             // release, free the prefill TE's copy instead of wedging it.
             debug_assert!(false, "disaggregated request {id:?} lacks stashed metadata");
-            self.te_mut(from).engine.release_migrated(now, id);
+            self.release_migrated(now, from, id);
             return;
         };
         // By-layer streaming overlaps most of the transfer with prefill;
@@ -1452,7 +1495,7 @@ impl ClusterSim {
             Ok(plan) => plan,
             Err(e) => {
                 debug_assert!(false, "unlinked TE pair {src:?} -> {dst:?}: {e:?}");
-                self.te_mut(from).engine.release_migrated(now, id);
+                self.release_migrated(now, from, id);
                 return;
             }
         };
@@ -1521,13 +1564,13 @@ impl ClusterSim {
                 // (requeueing here too would double-submit).
                 self.counters.incr("sim.migrations_aborted");
                 if from_alive {
-                    self.te_mut(m.from).engine.release_migrated(now, m.new.id);
+                    self.release_migrated(now, m.from, m.new.id);
                     self.reschedule_wake(now, m.from);
                     self.requeue(now, m.new.id);
                 }
                 continue;
             }
-            self.te_mut(m.from).engine.release_migrated(now, m.new.id);
+            self.release_migrated(now, m.from, m.new.id);
             let to = m.to;
             {
                 let te = self.te_mut(to);
@@ -1669,7 +1712,7 @@ impl ClusterSim {
             self.tracer.end_span(now, m.span);
             self.counters.incr("sim.migrations_aborted");
             if self.tes[m.from.0 as usize].alive {
-                self.te_mut(m.from).engine.release_migrated(now, m.new.id);
+                self.release_migrated(now, m.from, m.new.id);
                 self.reschedule_wake(now, m.from);
                 self.requeue(now, m.new.id);
             }
@@ -1686,6 +1729,7 @@ impl ClusterSim {
         }
         old.set_token_events(self.token_events);
         std::mem::swap(&mut self.tes[idx].engine, &mut old);
+        self.sync_load(te_id);
         self.tes[idx].epoch += 1;
         self.tes[idx].scheduled_wake = None;
         let orphans = old.active_request_ids();

@@ -15,6 +15,14 @@
 //! length and *predicted* decode length (`select_tes_PD_heatmap`);
 //! `locality_aware` walks the global prompt tree
 //! (`select_tes_prefix_match`); `load_aware` picks the least-loaded TE.
+//!
+//! Policies run against an incremental load index, not a per-request
+//! snapshot of the pool: the platform registers the pool once
+//! ([`JobExecutor::register_pool`]) and reports every load change
+//! ([`JobExecutor::set_load`]). The index keeps the routable colocated TEs
+//! and the routable pairs ordered by `(load, TeId)`, so least load, most
+//! load and the balance check read the ends of two ordered sets, and a
+//! decision costs O(log n) in the number of TEs.
 
 use crate::api::ApiRequest;
 use crate::heatmap::Heatmap;
@@ -22,7 +30,7 @@ use crate::predictor::DecodePredictor;
 use crate::prompt_tree::{GlobalPromptTree, TeId};
 use simcore::trace::{Trace, TraceLevel, Tracer};
 use simcore::{Counters, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Scheduling policy selector (the Figure 6 comparison set plus ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,64 +71,9 @@ impl Target {
     }
 }
 
-/// Point-in-time load view of one TE, provided by the platform each
-/// scheduling decision (the TE-shell's health/load reporting).
-#[derive(Debug, Clone, Copy)]
-pub struct TeSnapshot {
-    /// Requests queued + running on the TE.
-    pub load: usize,
-}
-
-/// The schedulable pool: colocated TEs and disaggregated pairs, plus their
-/// load snapshots.
-#[derive(Debug, Default)]
-pub struct SchedPool {
-    /// PD-colocated TEs.
-    pub colocated: Vec<TeId>,
-    /// (prefill TE, decode TE) pairs.
-    pub pairs: Vec<(TeId, TeId)>,
-    /// Load per TE.
-    pub loads: HashMap<TeId, TeSnapshot>,
-}
-
-/// Borrowed scheduling view the policies run against: the (possibly
-/// filtered) TE lists plus the caller's live load snapshots. `Copy`, so it
-/// threads through the policy helpers without cloning anything.
-#[derive(Clone, Copy)]
-struct PoolView<'a> {
-    colocated: &'a [TeId],
-    pairs: &'a [(TeId, TeId)],
-    loads: &'a HashMap<TeId, TeSnapshot>,
-}
-
-impl PoolView<'_> {
-    fn load(&self, te: TeId) -> usize {
-        self.loads.get(&te).map_or(0, |s| s.load)
-    }
-
-    /// Load of a pair = load of its more loaded half (either half
-    /// saturating stalls the pipeline).
-    fn pair_load(&self, pair: (TeId, TeId)) -> usize {
-        self.load(pair.0).max(self.load(pair.1))
-    }
-}
-
-/// Cached removed-TE filtering of a caller's pool snapshot. The keys are
-/// the caller's unfiltered lists: while callers keep presenting the same
-/// pool shape (the common case — pools only change on repair/scale
-/// events), every `schedule` call reuses the filtered lists instead of
-/// rebuilding them per request. Invalidated by
-/// [`JobExecutor::note_te_removed`] / [`JobExecutor::note_te_added`].
-struct FilteredPool {
-    key_colocated: Vec<TeId>,
-    key_pairs: Vec<(TeId, TeId)>,
-    colocated: Vec<TeId>,
-    pairs: Vec<(TeId, TeId)>,
-}
-
 /// The scheduling outcome, with the intermediate signals for
 /// observability/benchmarks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// Where to run.
     pub target: Target,
@@ -130,6 +83,264 @@ pub struct Decision {
     pub heat: f64,
     /// Prompt-tree match length at the chosen locality TE, in tokens.
     pub matched_tokens: usize,
+}
+
+/// One of the two TE groups PD-aware chooses between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Group {
+    Colocated,
+    Pairs,
+}
+
+/// A registered TE's place in the pool.
+#[derive(Debug, Clone)]
+enum Role {
+    Colocated,
+    /// Prefill half of the pair `(this TE, decode)`.
+    Prefill(TeId),
+    /// Decode half of the pairs led by these prefill TEs (several under
+    /// 2P1D).
+    Decode(Vec<TeId>),
+}
+
+#[derive(Debug, Clone)]
+struct Member {
+    role: Role,
+    load: usize,
+}
+
+/// The JE's incremental view of the pool. A TE is routable unless
+/// removed; a pair is routable when both halves are. The two ordered sets
+/// hold exactly the routable colocated TEs and pairs, keyed by load.
+#[derive(Debug, Default)]
+struct LoadIndex {
+    /// Registered TEs by `TeId.0`; `None` for ids outside the pool.
+    members: Vec<Option<Member>>,
+    /// Registered pairs in configuration order (round-robin's order).
+    pairs: Vec<(TeId, TeId)>,
+    /// TEs removed from service (failed or scaled down).
+    removed: BTreeSet<TeId>,
+    /// Routable colocated TEs keyed by `(load, TeId)`.
+    colocated_by_load: BTreeSet<(usize, TeId)>,
+    /// Routable pairs keyed by `(pair load, prefill, decode)`, where a
+    /// pair's load is that of its more loaded half (either half saturating
+    /// stalls the pipeline). A prefill TE leads exactly one pair, so the
+    /// order is that of `(pair load, prefill)`.
+    pairs_by_load: BTreeSet<(usize, TeId, TeId)>,
+}
+
+impl LoadIndex {
+    fn member(&self, te: TeId) -> Option<&Member> {
+        self.members.get(te.0 as usize).and_then(Option::as_ref)
+    }
+
+    fn load(&self, te: TeId) -> usize {
+        self.member(te).map_or(0, |m| m.load)
+    }
+
+    fn routable(&self, te: TeId) -> bool {
+        !self.removed.contains(&te)
+    }
+
+    fn register(&mut self, colocated: &[TeId], pairs: &[(TeId, TeId)]) {
+        // Colocated and prefill TEs: each keys at most one set entry.
+        let leaders = || colocated.iter().chain(pairs.iter().map(|(p, _)| p));
+        let mut seen = BTreeSet::new();
+        for &te in leaders() {
+            assert!(seen.insert(te), "TE {te:?} registered twice");
+        }
+        for &(_, d) in pairs {
+            assert!(!seen.contains(&d), "decode TE {d:?} also has another role");
+        }
+        let ids = colocated
+            .iter()
+            .chain(pairs.iter().flat_map(|(p, d)| [p, d]));
+        let len = ids.map(|t| t.0 as usize + 1).max().unwrap_or(0);
+        self.members = vec![None; len];
+        let member = |role| Some(Member { role, load: 0 });
+        for &te in colocated {
+            self.members[te.0 as usize] = member(Role::Colocated);
+        }
+        for &(p, d) in pairs {
+            self.members[p.0 as usize] = member(Role::Prefill(d));
+            let decode = self.members[d.0 as usize].get_or_insert(Member {
+                role: Role::Decode(Vec::new()),
+                load: 0,
+            });
+            if let Role::Decode(prefills) = &mut decode.role {
+                prefills.push(p);
+            }
+        }
+        self.pairs = pairs.to_vec();
+        self.colocated_by_load.clear();
+        self.pairs_by_load.clear();
+        for &te in leaders() {
+            if self.routable(te) {
+                self.update_entries(te, true);
+            }
+        }
+    }
+
+    /// Inserts (`insert`) or removes `te`'s set entries at its current
+    /// load: its colocated key, or the key of every pair it belongs to
+    /// whose other half is routable.
+    fn update_entries(&mut self, te: TeId, insert: bool) {
+        fn toggle<K: Ord>(set: &mut BTreeSet<K>, key: K, insert: bool) {
+            let changed = if insert {
+                set.insert(key)
+            } else {
+                set.remove(&key)
+            };
+            debug_assert!(changed, "JE load index out of step with routability");
+        }
+        let Some(member) = self.members.get(te.0 as usize).and_then(Option::as_ref) else {
+            return;
+        };
+        let load = member.load;
+        match &member.role {
+            Role::Colocated => toggle(&mut self.colocated_by_load, (load, te), insert),
+            &Role::Prefill(d) => {
+                if !self.removed.contains(&d) {
+                    let key = (load.max(self.load(d)), te, d);
+                    toggle(&mut self.pairs_by_load, key, insert);
+                }
+            }
+            Role::Decode(prefills) => {
+                for &p in prefills {
+                    if !self.removed.contains(&p) {
+                        let key = (self.load(p).max(load), p, te);
+                        toggle(&mut self.pairs_by_load, key, insert);
+                    }
+                }
+            }
+        }
+    }
+
+    fn set_load(&mut self, te: TeId, load: usize) {
+        if self.member(te).is_none_or(|m| m.load == load) {
+            return;
+        }
+        let routable = self.routable(te);
+        if routable {
+            self.update_entries(te, false);
+        }
+        if let Some(m) = self.members[te.0 as usize].as_mut() {
+            m.load = load;
+        }
+        if routable {
+            self.update_entries(te, true);
+        }
+    }
+
+    fn remove(&mut self, te: TeId) {
+        if self.routable(te) {
+            self.update_entries(te, false);
+            self.removed.insert(te);
+        }
+    }
+
+    fn add(&mut self, te: TeId) {
+        if self.removed.remove(&te) {
+            self.update_entries(te, true);
+        }
+    }
+
+    /// The least-loaded member of `g` with its load; `None` when the group
+    /// has no routable member.
+    fn head(&self, g: Group) -> Option<(usize, Target)> {
+        match g {
+            Group::Colocated => self
+                .colocated_by_load
+                .first()
+                .map(|&(load, te)| (load, Target::Colocated(te))),
+            Group::Pairs => self
+                .pairs_by_load
+                .first()
+                .map(|&(load, prefill, decode)| (load, Target::Disaggregated { prefill, decode })),
+        }
+    }
+
+    /// Max minus min load over `g`'s routable members (0 when empty).
+    fn spread(&self, g: Group) -> usize {
+        let (min, max) = match g {
+            Group::Colocated => (
+                self.colocated_by_load.first().map(|k| k.0),
+                self.colocated_by_load.last().map(|k| k.0),
+            ),
+            Group::Pairs => (
+                self.pairs_by_load.first().map(|k| k.0),
+                self.pairs_by_load.last().map(|k| k.0),
+            ),
+        };
+        max.unwrap_or(0) - min.unwrap_or(0)
+    }
+
+    /// The least-loaded target over both groups, smallest `(load, TeId)`
+    /// first. A TE has one role, so the two heads never tie.
+    fn least_loaded(&self) -> Option<Target> {
+        match (self.head(Group::Colocated), self.head(Group::Pairs)) {
+            (Some(c), Some(p)) => {
+                let key = |(load, t): (usize, Target)| (load, t.locality_te());
+                Some(if key(c) <= key(p) { c.1 } else { p.1 })
+            }
+            (c, p) => c.or(p).map(|(_, t)| t),
+        }
+    }
+
+    /// `te` as a routable target of group `g`, if it is one.
+    fn target_in(&self, g: Group, te: TeId) -> Option<Target> {
+        let member = self.member(te)?;
+        match (g, &member.role) {
+            (Group::Colocated, Role::Colocated) if self.routable(te) => Some(Target::Colocated(te)),
+            (Group::Pairs, &Role::Prefill(decode))
+                if self.routable(te) && self.routable(decode) =>
+            {
+                Some(Target::Disaggregated {
+                    prefill: te,
+                    decode,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// `select_tes_prefix_match` over one walk's per-TE matches: the
+    /// routable member of `g` with the longest match, ties to the lowest
+    /// TeId; `None` when no member matches.
+    fn best_match(&self, g: Group, matches: &BTreeMap<TeId, usize>) -> Option<Target> {
+        let mut best: Option<(usize, Target)> = None;
+        // Ascending TeId with a strict comparison: the lowest id keeps a tie.
+        for (&te, &tokens) in matches {
+            if best.is_none_or(|(b, _)| tokens > b) {
+                if let Some(t) = self.target_in(g, te) {
+                    best = Some((tokens, t));
+                }
+            }
+        }
+        best.map(|(_, t)| t)
+    }
+
+    /// Round-robin slot `cursor` over the routable colocated TEs in id
+    /// order, then the routable pairs in configuration order. O(n), for a
+    /// policy no workload runs at scale.
+    fn round_robin(&self, cursor: usize) -> Option<Target> {
+        let n_colocated = self.colocated_by_load.len();
+        let slots = n_colocated + self.pairs_by_load.len();
+        if slots == 0 {
+            return None;
+        }
+        let slot = cursor % slots;
+        if slot < n_colocated {
+            (0..self.members.len() as u32)
+                .filter_map(|i| self.target_in(Group::Colocated, TeId(i)))
+                .nth(slot)
+        } else {
+            self.pairs
+                .iter()
+                .filter_map(|&(p, _)| self.target_in(Group::Pairs, p))
+                .nth(slot - n_colocated)
+        }
+    }
 }
 
 /// The model-serving Job Executor.
@@ -152,18 +363,15 @@ pub struct JobExecutor {
     /// must not pile the whole workload onto a saturated subgroup.
     pub overload_factor: f64,
     rr_cursor: usize,
-    /// TEs removed from service (failed or scaled down). Scheduling
-    /// filters these out of the caller's pool, so a stale pool snapshot
-    /// can never route to a removed TE.
-    removed: BTreeSet<TeId>,
-    /// Lazily maintained removed-TE filtering of the last pool snapshot.
-    filtered_cache: Option<FilteredPool>,
+    /// The registered pool, its loads and which of it is routable.
+    index: LoadIndex,
     counters: Counters,
     tracer: Tracer,
 }
 
 impl JobExecutor {
-    /// Creates a JE with the given policy, heatmap and predictor.
+    /// Creates a JE with the given policy, heatmap and predictor. Its pool
+    /// is empty until [`JobExecutor::register_pool`].
     pub fn new(
         policy: Policy,
         heatmap: Heatmap,
@@ -179,11 +387,53 @@ impl JobExecutor {
             balance_threshold: 4,
             overload_factor: 2.0,
             rr_cursor: 0,
-            removed: BTreeSet::new(),
-            filtered_cache: None,
+            index: LoadIndex::default(),
             counters: Counters::new(),
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// Registers the schedulable pool: PD-colocated TEs and
+    /// `(prefill, decode)` pairs in configuration order. A decode TE may
+    /// back several prefill TEs (2P1D). Every load starts at zero; TEs
+    /// already removed stay unroutable. Replaces any earlier registration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a TE is registered twice, or in two roles (a decode TE
+    /// shared by several pairs is one role).
+    pub fn register_pool(&mut self, colocated: &[TeId], pairs: &[(TeId, TeId)]) {
+        self.index.register(colocated, pairs);
+    }
+
+    /// TE -> JE load report: `te` now holds `load` requests (queued +
+    /// running). The platform calls this wherever a TE's request count can
+    /// change; ids outside the registered pool are ignored.
+    pub fn set_load(&mut self, te: TeId, load: usize) {
+        self.index.set_load(te, load);
+    }
+
+    /// The load the index holds for `te`; `None` outside the pool.
+    pub fn load(&self, te: TeId) -> Option<usize> {
+        self.index.member(te).map(|m| m.load)
+    }
+
+    /// Routable colocated TEs with the load the index keys each by, in
+    /// `(load, TeId)` order.
+    pub fn routable_colocated(&self) -> impl Iterator<Item = (TeId, usize)> + '_ {
+        self.index
+            .colocated_by_load
+            .iter()
+            .map(|&(load, te)| (te, load))
+    }
+
+    /// Routable pairs as `(prefill, decode, pair load)`, in
+    /// `(pair load, prefill)` order.
+    pub fn routable_pairs(&self) -> impl Iterator<Item = (TeId, TeId, usize)> + '_ {
+        self.index
+            .pairs_by_load
+            .iter()
+            .map(|&(load, p, d)| (p, d, load))
     }
 
     /// Turns on sim-time tracing of scheduling decisions.
@@ -227,26 +477,26 @@ impl JobExecutor {
     }
 
     /// Forgets a TE (scale-down / failure): purges its prompt-tree state
-    /// and bars it from scheduling until [`JobExecutor::note_te_added`].
+    /// and bars it (and every pair it belongs to) from scheduling until
+    /// [`JobExecutor::note_te_added`].
     pub fn note_te_removed(&mut self, te: TeId) {
         self.tree_colocated.remove_te(te);
         self.tree_prefill.remove_te(te);
-        self.removed.insert(te);
-        self.filtered_cache = None;
+        self.index.remove(te);
         self.counters.incr("je.te_removed");
     }
 
-    /// Re-admits a TE after repair / scale-up. Its prompt trees start
-    /// empty (a replaced TE holds no cache).
+    /// Re-admits a TE after repair / scale-up at the load the index last
+    /// heard for it. Its prompt trees start empty (a replaced TE holds no
+    /// cache).
     pub fn note_te_added(&mut self, te: TeId) {
-        self.removed.remove(&te);
-        self.filtered_cache = None;
+        self.index.add(te);
         self.counters.incr("je.te_added");
     }
 
     /// Whether `te` is currently barred from scheduling.
     pub fn is_removed(&self, te: TeId) -> bool {
-        self.removed.contains(&te)
+        !self.index.routable(te)
     }
 
     /// Locality-aware cold-start placement (the fleet analogue of the
@@ -259,7 +509,7 @@ impl JobExecutor {
     pub fn place_cold_start(&mut self, candidates: &[(TeId, u8, usize)]) -> Option<TeId> {
         let &(te, rank, _) = candidates
             .iter()
-            .filter(|(te, _, _)| !self.removed.contains(te))
+            .filter(|(te, _, _)| self.index.routable(*te))
             .min_by_key(|&&(te, rank, load)| (rank, load, te))?;
         self.counters.incr("je.cold_start_placed");
         if rank <= 2 {
@@ -270,71 +520,21 @@ impl JobExecutor {
         Some(te)
     }
 
-    /// Algorithm 1 entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is empty.
-    pub fn schedule(&mut self, now: SimTime, req: &ApiRequest, pool: &SchedPool) -> Decision {
-        // Filter removed TEs out of the caller's (possibly stale) pool
-        // snapshot so scheduling can never return a dead target. The
-        // filtered lists are cached and revalidated against the caller's
-        // lists, so the steady state does one Vec comparison per call —
-        // never a rebuild, and never a `loads` clone (loads are always
-        // borrowed live from the caller).
-        let cache = if self.removed.is_empty() {
-            None
-        } else {
-            let mut cache = self.filtered_cache.take();
-            let valid = cache
-                .as_ref()
-                .is_some_and(|c| c.key_colocated == pool.colocated && c.key_pairs == pool.pairs);
-            if !valid {
-                self.counters.incr("je.filtered_pool_rebuilds");
-                cache = Some(FilteredPool {
-                    key_colocated: pool.colocated.clone(),
-                    key_pairs: pool.pairs.clone(),
-                    colocated: pool
-                        .colocated
-                        .iter()
-                        .copied()
-                        .filter(|t| !self.removed.contains(t))
-                        .collect(),
-                    pairs: pool
-                        .pairs
-                        .iter()
-                        .copied()
-                        .filter(|(p, d)| !self.removed.contains(p) && !self.removed.contains(d))
-                        .collect(),
-                });
-            }
-            cache
-        };
-        let view = match &cache {
-            Some(c) => PoolView {
-                colocated: &c.colocated,
-                pairs: &c.pairs,
-                loads: &pool.loads,
-            },
-            None => PoolView {
-                colocated: &pool.colocated,
-                pairs: &pool.pairs,
-                loads: &pool.loads,
-            },
-        };
-        assert!(
-            !view.colocated.is_empty() || !view.pairs.is_empty(),
-            "dist_sched: empty TE pool"
-        );
+    /// Algorithm 1 entry point. Returns `None` when no registered TE is
+    /// routable (an empty pool, or every TE removed); the predictor is
+    /// then not consulted and nothing is counted or traced.
+    pub fn schedule(&mut self, now: SimTime, req: &ApiRequest) -> Option<Decision> {
+        if self.index.colocated_by_load.is_empty() && self.index.pairs_by_load.is_empty() {
+            return None;
+        }
         let predicted = self.predictor.predict(req);
         let decision = match self.policy {
-            Policy::RoundRobin => self.round_robin(req, view, predicted),
-            Policy::LoadAware => self.load_only(req, view, predicted),
-            Policy::LocalityAware => self.locality_only(req, view, predicted),
-            Policy::PdAware => self.pd_then_load(req, view, predicted),
-            Policy::Combined => self.combined(req, view, predicted),
-        };
-        self.filtered_cache = cache;
+            Policy::RoundRobin => self.round_robin(req, predicted),
+            Policy::LoadAware => self.load_only(req, predicted),
+            Policy::LocalityAware => self.locality_only(req, predicted),
+            Policy::PdAware => self.pd_then_load(req, predicted),
+            Policy::Combined => self.combined(req, predicted),
+        }?;
         if self.tracer.is_enabled() {
             let policy = match self.policy {
                 Policy::RoundRobin => "round_robin",
@@ -361,131 +561,82 @@ impl JobExecutor {
                 ],
             );
         }
-        decision
+        Some(decision)
     }
 
     // ---- policies ----
 
-    fn round_robin(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let slots = pool.colocated.len() + pool.pairs.len();
-        let slot = self.rr_cursor % slots;
+    fn round_robin(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+        let target = self.index.round_robin(self.rr_cursor)?;
         self.rr_cursor += 1;
-        let target = if slot < pool.colocated.len() {
-            Target::Colocated(pool.colocated[slot])
-        } else {
-            let (p, d) = pool.pairs[slot - pool.colocated.len()];
-            Target::Disaggregated {
-                prefill: p,
-                decode: d,
+        self.counters.incr("je.rr");
+        Some(self.decide(req, target, predicted, 0.0))
+    }
+
+    fn load_only(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+        let target = self.index.least_loaded()?;
+        self.counters.incr("je.load");
+        Some(self.decide(req, target, predicted, 0.0))
+    }
+
+    fn locality_only(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+        let colocated = self.tree_colocated.match_tokens(&req.prompt);
+        let (target, matches) = match self.index.best_match(Group::Colocated, &colocated) {
+            Some(t) => (t, colocated),
+            None => {
+                let prefill = self.tree_prefill.match_tokens(&req.prompt);
+                let target = match self.index.best_match(Group::Pairs, &prefill) {
+                    Some(t) => t,
+                    None => self.index.least_loaded()?,
+                };
+                match target {
+                    Target::Colocated(_) => (target, colocated),
+                    Target::Disaggregated { .. } => (target, prefill),
+                }
             }
         };
-        self.counters.incr("je.rr");
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat: 0.0,
-            matched_tokens: self.match_at(req, target),
-        }
-    }
-
-    fn load_only(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let target = self.least_loaded_any(pool);
-        self.counters.incr("je.load");
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat: 0.0,
-            matched_tokens: self.match_at(req, target),
-        }
-    }
-
-    fn locality_only(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let target = self
-            .best_locality(req, pool, /*colocated=*/ true)
-            .or_else(|| self.best_locality(req, pool, false))
-            .unwrap_or_else(|| self.least_loaded_any(pool));
         self.counters.incr("je.locality");
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat: 0.0,
-            matched_tokens: self.match_at(req, target),
-        }
+        Some(Self::decision(target, predicted, 0.0, &matches))
     }
 
-    fn pd_then_load(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let (subgroup, heat) = self.select_tes_pd_heatmap(req, pool, predicted);
-        let target = self.least_loaded_in(pool, &subgroup);
+    fn pd_then_load(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+        let (group, heat) = self.select_tes_pd_heatmap(req, predicted);
+        let (_, target) = self.index.head(group)?;
         self.counters.incr("je.pd");
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat,
-            matched_tokens: self.match_at(req, target),
-        }
+        Some(self.decide(req, target, predicted, heat))
     }
 
     /// Algorithm 1: PD-aware narrows the group; balanced -> locality,
-    /// imbalanced -> load.
-    fn combined(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let (subgroup, heat) = self.select_tes_pd_heatmap(req, pool, predicted);
-        let target = if self.is_load_balanced(pool, &subgroup) {
+    /// imbalanced -> load. One prompt-tree walk serves both the locality
+    /// choice and the decision's matched tokens.
+    fn combined(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+        let (group, heat) = self.select_tes_pd_heatmap(req, predicted);
+        let matches = self.tree(group).match_tokens(&req.prompt);
+        let (_, least) = self.index.head(group)?;
+        let target = if self.index.spread(group) <= self.balance_threshold {
             self.counters.incr("je.combined_locality");
-            self.select_tes_prefix_match(req, &subgroup)
-                .unwrap_or_else(|| self.least_loaded_in(pool, &subgroup))
+            self.index.best_match(group, &matches).unwrap_or(least)
         } else {
             self.counters.incr("je.combined_load");
-            self.least_loaded_in(pool, &subgroup)
+            least
         };
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat,
-            matched_tokens: self.match_at(req, target),
-        }
+        Some(Self::decision(target, predicted, heat, &matches))
     }
 
     // ---- Algorithm 1 helpers ----
 
     /// `select_tes_PD_heatmap`: positive cell -> disaggregated pairs,
     /// negative -> colocated; falls back when the preferred type has no
-    /// instances. Returns candidate targets plus the cell value.
-    fn select_tes_pd_heatmap(
-        &mut self,
-        req: &ApiRequest,
-        pool: PoolView<'_>,
-        predicted: u32,
-    ) -> (Vec<Target>, f64) {
+    /// routable instance. Returns the chosen group plus the cell value.
+    fn select_tes_pd_heatmap(&mut self, req: &ApiRequest, predicted: u32) -> (Group, f64) {
         let heat = self.heatmap.lookup(req.prefill_len(), predicted);
         let mut prefer_disagg = heat >= 0.0;
-        let disagg: Vec<Target> = pool
-            .pairs
-            .iter()
-            .map(|&(p, d)| Target::Disaggregated {
-                prefill: p,
-                decode: d,
-            })
-            .collect();
-        let coloc: Vec<Target> = pool
-            .colocated
-            .iter()
-            .map(|&t| Target::Colocated(t))
-            .collect();
+        let coloc = self.index.head(Group::Colocated);
+        let disagg = self.index.head(Group::Pairs);
         // Overload spill-over: override a static preference whose best
         // target is drowning while the other type has headroom.
-        if !disagg.is_empty() && !coloc.is_empty() {
-            let min_disagg = pool
-                .pairs
-                .iter()
-                .map(|&p| pool.pair_load(p))
-                .min()
-                .unwrap_or(0) as f64;
-            let min_coloc = pool
-                .colocated
-                .iter()
-                .map(|&t| pool.load(t))
-                .min()
-                .unwrap_or(0) as f64;
+        if let (Some((min_coloc, _)), Some((min_disagg, _))) = (coloc, disagg) {
+            let (min_coloc, min_disagg) = (min_coloc as f64, min_disagg as f64);
             let thresh = self.balance_threshold as f64;
             if prefer_disagg && min_disagg > self.overload_factor * min_coloc + thresh {
                 prefer_disagg = false;
@@ -495,121 +646,50 @@ impl JobExecutor {
                 self.counters.incr("je.heatmap_overridden");
             }
         }
-        let chosen = if prefer_disagg && !disagg.is_empty() {
+        let group = if prefer_disagg && disagg.is_some() {
             self.counters.incr("je.heatmap_disagg");
-            disagg
-        } else if !prefer_disagg && !coloc.is_empty() {
+            Group::Pairs
+        } else if !prefer_disagg && coloc.is_some() {
             self.counters.incr("je.heatmap_coloc");
-            coloc
-        } else if !coloc.is_empty() {
-            coloc
+            Group::Colocated
+        } else if coloc.is_some() {
+            Group::Colocated
         } else {
-            disagg
+            Group::Pairs
         };
-        (chosen, heat)
+        (group, heat)
     }
 
-    /// `select_tes_prefix_match`: longest global-prompt-tree match within
-    /// the subgroup; `None` when nothing matches.
-    fn select_tes_prefix_match(&self, req: &ApiRequest, subgroup: &[Target]) -> Option<Target> {
-        let coloc_matches = self.tree_colocated.match_tokens(&req.prompt);
-        let prefill_matches = self.tree_prefill.match_tokens(&req.prompt);
-        subgroup
-            .iter()
-            .filter_map(|&t| {
-                let m = match t {
-                    Target::Colocated(te) => coloc_matches.get(&te).copied(),
-                    Target::Disaggregated { prefill, .. } => prefill_matches.get(&prefill).copied(),
-                };
-                m.map(|tokens| (t, tokens))
-            })
-            .max_by(|a, b| {
-                a.1.cmp(&b.1)
-                    .then_with(|| b.0.locality_te().cmp(&a.0.locality_te()))
-            })
-            .map(|(t, _)| t)
-    }
-
-    fn is_load_balanced(&self, pool: PoolView<'_>, subgroup: &[Target]) -> bool {
-        let loads: Vec<usize> = subgroup
-            .iter()
-            .map(|&t| match t {
-                Target::Colocated(te) => pool.load(te),
-                Target::Disaggregated { prefill, decode } => pool.pair_load((prefill, decode)),
-            })
-            .collect();
-        match (loads.iter().max(), loads.iter().min()) {
-            (Some(&max), Some(&min)) => max - min <= self.balance_threshold,
-            _ => true,
+    fn tree(&self, group: Group) -> &GlobalPromptTree {
+        match group {
+            Group::Colocated => &self.tree_colocated,
+            Group::Pairs => &self.tree_prefill,
         }
     }
 
-    fn least_loaded_in(&self, pool: PoolView<'_>, subgroup: &[Target]) -> Target {
-        *subgroup
-            .iter()
-            .min_by_key(|&&t| match t {
-                Target::Colocated(te) => (pool.load(te), te),
-                Target::Disaggregated { prefill, decode } => {
-                    (pool.pair_load((prefill, decode)), prefill)
-                }
-            })
-            // detlint: allow(panic) — subgroups are built by partitioning a non-empty pool; an empty subgroup cannot reach this selector
-            .expect("subgroup is non-empty by construction")
+    /// A decision for a target chosen without a prompt-tree walk: walks
+    /// the target's tree once for its matched tokens.
+    fn decide(&self, req: &ApiRequest, target: Target, predicted: u32, heat: f64) -> Decision {
+        let group = match target {
+            Target::Colocated(_) => Group::Colocated,
+            Target::Disaggregated { .. } => Group::Pairs,
+        };
+        let matches = self.tree(group).match_tokens(&req.prompt);
+        Self::decision(target, predicted, heat, &matches)
     }
 
-    fn least_loaded_any(&self, pool: PoolView<'_>) -> Target {
-        let mut all: Vec<Target> = pool
-            .colocated
-            .iter()
-            .map(|&t| Target::Colocated(t))
-            .collect();
-        all.extend(pool.pairs.iter().map(|&(p, d)| Target::Disaggregated {
-            prefill: p,
-            decode: d,
-        }));
-        self.least_loaded_in(pool, &all)
-    }
-
-    fn best_locality(
-        &self,
-        req: &ApiRequest,
-        pool: PoolView<'_>,
-        colocated: bool,
-    ) -> Option<Target> {
-        if colocated {
-            let m = self.tree_colocated.match_tokens(&req.prompt);
-            pool.colocated
-                .iter()
-                .filter_map(|&te| m.get(&te).map(|&tok| (te, tok)))
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-                .map(|(te, _)| Target::Colocated(te))
-        } else {
-            let m = self.tree_prefill.match_tokens(&req.prompt);
-            pool.pairs
-                .iter()
-                .filter_map(|&(p, d)| m.get(&p).map(|&tok| ((p, d), tok)))
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| (b.0).0.cmp(&(a.0).0)))
-                .map(|((p, d), _)| Target::Disaggregated {
-                    prefill: p,
-                    decode: d,
-                })
-        }
-    }
-
-    fn match_at(&self, req: &ApiRequest, target: Target) -> usize {
-        match target {
-            Target::Colocated(te) => self
-                .tree_colocated
-                .match_tokens(&req.prompt)
-                .get(&te)
-                .copied()
-                .unwrap_or(0),
-            Target::Disaggregated { prefill, .. } => self
-                .tree_prefill
-                .match_tokens(&req.prompt)
-                .get(&prefill)
-                .copied()
-                .unwrap_or(0),
+    /// `matches` must come from the walk of `target`'s group's tree.
+    fn decision(
+        target: Target,
+        predicted: u32,
+        heat: f64,
+        matches: &BTreeMap<TeId, usize>,
+    ) -> Decision {
+        Decision {
+            target,
+            predicted_decode: predicted,
+            heat,
+            matched_tokens: matches.get(&target.locality_te()).copied().unwrap_or(0),
         }
     }
 }
@@ -629,31 +709,26 @@ mod tests {
         )
     }
 
-    fn pool_2c_1pair() -> SchedPool {
-        let mut loads = HashMap::new();
-        for t in [0, 1, 2, 3] {
-            loads.insert(TeId(t), TeSnapshot { load: 0 });
-        }
-        SchedPool {
-            colocated: vec![TeId(0), TeId(1)],
-            pairs: vec![(TeId(2), TeId(3))],
-            loads,
-        }
+    /// A JE over colocated TEs 0 and 1 plus the pair (2, 3), all idle.
+    fn je(policy: Policy) -> JobExecutor {
+        let mut j = JobExecutor::new(policy, Heatmap::default_production(), Box::new(Oracle), 16);
+        j.register_pool(&[TeId(0), TeId(1)], &[(TeId(2), TeId(3))]);
+        j
     }
 
-    fn je(policy: Policy) -> JobExecutor {
-        JobExecutor::new(policy, Heatmap::default_production(), Box::new(Oracle), 16)
+    fn schedule(j: &mut JobExecutor, r: &ApiRequest) -> Decision {
+        j.schedule(SimTime::ZERO, r)
+            .unwrap_or_else(|| panic!("no routable TE for {:?}", r.id))
     }
 
     #[test]
     fn round_robin_cycles_all_slots() {
         let mut j = je(Policy::RoundRobin);
-        let pool = pool_2c_1pair();
         let r = req(1, 1, 1024, 128);
-        let t1 = j.schedule(SimTime::ZERO, &r, &pool).target;
-        let t2 = j.schedule(SimTime::ZERO, &r, &pool).target;
-        let t3 = j.schedule(SimTime::ZERO, &r, &pool).target;
-        let t4 = j.schedule(SimTime::ZERO, &r, &pool).target;
+        let t1 = schedule(&mut j, &r).target;
+        let t2 = schedule(&mut j, &r).target;
+        let t3 = schedule(&mut j, &r).target;
+        let t4 = schedule(&mut j, &r).target;
         assert_eq!(t1, Target::Colocated(TeId(0)));
         assert_eq!(t2, Target::Colocated(TeId(1)));
         assert_eq!(
@@ -669,13 +744,12 @@ mod tests {
     #[test]
     fn pd_aware_sends_long_prefill_short_decode_to_disagg() {
         let mut j = je(Policy::PdAware);
-        let pool = pool_2c_1pair();
         // Long prefill, tiny decode: heatmap strongly positive.
-        let d = j.schedule(SimTime::ZERO, &req(1, 1, 8192, 64), &pool);
+        let d = schedule(&mut j, &req(1, 1, 8192, 64));
         assert!(d.heat > 0.0);
         assert!(matches!(d.target, Target::Disaggregated { .. }));
         // Short prefill, long decode: colocated.
-        let d2 = j.schedule(SimTime::ZERO, &req(2, 2, 256, 512), &pool);
+        let d2 = schedule(&mut j, &req(2, 2, 256, 512));
         assert!(d2.heat < 0.0);
         assert!(matches!(d2.target, Target::Colocated(_)));
     }
@@ -683,19 +757,17 @@ mod tests {
     #[test]
     fn pd_aware_falls_back_when_type_missing() {
         let mut j = je(Policy::PdAware);
-        let mut pool = pool_2c_1pair();
-        pool.pairs.clear(); // no disaggregated TEs at all
-        let d = j.schedule(SimTime::ZERO, &req(1, 1, 8192, 64), &pool);
+        j.register_pool(&[TeId(0), TeId(1)], &[]); // no disaggregated TEs at all
+        let d = schedule(&mut j, &req(1, 1, 8192, 64));
         assert!(matches!(d.target, Target::Colocated(_)));
     }
 
     #[test]
     fn locality_routes_repeat_prompts_to_same_te() {
         let mut j = je(Policy::Combined);
-        let pool = pool_2c_1pair();
         // Pick a shape the heatmap sends to colocated TEs.
         let r = req(1, 5, 512, 400);
-        let d1 = j.schedule(SimTime::ZERO, &r, &pool);
+        let d1 = schedule(&mut j, &r);
         let te = match d1.target {
             Target::Colocated(te) => te,
             other => panic!("expected colocated, got {other:?}"),
@@ -703,7 +775,7 @@ mod tests {
         // TE reports it cached the prompt.
         j.note_cached(SimTime::ZERO, te, false, &r.prompt);
         // Same prompt again: must go back to the same TE with a match.
-        let d2 = j.schedule(SimTime::ZERO, &req(2, 5, 512, 400), &pool);
+        let d2 = schedule(&mut j, &req(2, 5, 512, 400));
         assert_eq!(d2.target, Target::Colocated(te));
         assert!(d2.matched_tokens >= 512 - 16);
     }
@@ -711,12 +783,11 @@ mod tests {
     #[test]
     fn imbalance_overrides_locality() {
         let mut j = je(Policy::Combined);
-        let mut pool = pool_2c_1pair();
         let r = req(1, 5, 512, 400);
         // TE 0 holds the cache but is massively loaded.
         j.note_cached(SimTime::ZERO, TeId(0), false, &r.prompt);
-        pool.loads.insert(TeId(0), TeSnapshot { load: 50 });
-        let d = j.schedule(SimTime::ZERO, &req(2, 5, 512, 400), &pool);
+        j.set_load(TeId(0), 50);
+        let d = schedule(&mut j, &req(2, 5, 512, 400));
         assert_eq!(
             d.target,
             Target::Colocated(TeId(1)),
@@ -727,55 +798,51 @@ mod tests {
     #[test]
     fn balanced_load_prefers_locality() {
         let mut j = je(Policy::Combined);
-        let mut pool = pool_2c_1pair();
         let r = req(1, 5, 512, 400);
         j.note_cached(SimTime::ZERO, TeId(1), false, &r.prompt);
         // Loads within threshold.
-        pool.loads.insert(TeId(0), TeSnapshot { load: 1 });
-        pool.loads.insert(TeId(1), TeSnapshot { load: 3 });
-        let d = j.schedule(SimTime::ZERO, &req(2, 5, 512, 400), &pool);
+        j.set_load(TeId(0), 1);
+        j.set_load(TeId(1), 3);
+        let d = schedule(&mut j, &req(2, 5, 512, 400));
         assert_eq!(d.target, Target::Colocated(TeId(1)));
     }
 
     #[test]
     fn load_aware_picks_least_loaded() {
         let mut j = je(Policy::LoadAware);
-        let mut pool = pool_2c_1pair();
-        pool.loads.insert(TeId(0), TeSnapshot { load: 9 });
-        pool.loads.insert(TeId(1), TeSnapshot { load: 2 });
-        pool.loads.insert(TeId(2), TeSnapshot { load: 9 });
-        pool.loads.insert(TeId(3), TeSnapshot { load: 9 });
-        let d = j.schedule(SimTime::ZERO, &req(1, 1, 1024, 64), &pool);
+        j.set_load(TeId(0), 9);
+        j.set_load(TeId(1), 2);
+        j.set_load(TeId(2), 9);
+        j.set_load(TeId(3), 9);
+        let d = schedule(&mut j, &req(1, 1, 1024, 64));
         assert_eq!(d.target, Target::Colocated(TeId(1)));
     }
 
     #[test]
     fn te_removal_clears_locality() {
         let mut j = je(Policy::LocalityAware);
-        let pool = pool_2c_1pair();
         let r = req(1, 5, 512, 64);
         j.note_cached(SimTime::ZERO, TeId(0), false, &r.prompt);
         j.note_te_removed(TeId(0));
-        let d = j.schedule(SimTime::ZERO, &req(2, 5, 512, 64), &pool);
+        let d = schedule(&mut j, &req(2, 5, 512, 64));
         assert_eq!(d.matched_tokens, 0);
     }
 
     #[test]
     fn overload_spills_to_the_other_type() {
         let mut j = je(Policy::PdAware);
-        let mut pool = pool_2c_1pair();
         // The lone pair is drowning; colocated TEs are idle.
-        pool.loads.insert(TeId(2), TeSnapshot { load: 40 });
-        pool.loads.insert(TeId(3), TeSnapshot { load: 40 });
+        j.set_load(TeId(2), 40);
+        j.set_load(TeId(3), 40);
         // Shape prefers disaggregation, but the guard must override.
-        let d = j.schedule(SimTime::ZERO, &req(1, 1, 8192, 64), &pool);
+        let d = schedule(&mut j, &req(1, 1, 8192, 64));
         assert!(d.heat > 0.0);
         assert!(matches!(d.target, Target::Colocated(_)));
         assert_eq!(j.counters().get("je.heatmap_overridden"), 1);
     }
 
     #[test]
-    fn removed_te_never_scheduled_from_stale_pool() {
+    fn removed_te_is_never_scheduled() {
         for policy in [
             Policy::RoundRobin,
             Policy::LoadAware,
@@ -784,16 +851,15 @@ mod tests {
             Policy::Combined,
         ] {
             let mut j = je(policy);
-            // Stale pool still lists TE 0 and the (2, 3) pair; TE 0 and the
-            // pair's decode half are removed. Make removed TEs look idle so
-            // load-based policies would otherwise pick them.
-            let mut pool = pool_2c_1pair();
-            pool.loads.insert(TeId(1), TeSnapshot { load: 50 });
+            // TE 0 and the pair's decode half are removed. Make removed
+            // TEs look idle so load-based policies would otherwise pick
+            // them.
+            j.set_load(TeId(1), 50);
             j.note_cached(SimTime::ZERO, TeId(0), false, &req(9, 5, 512, 64).prompt);
             j.note_te_removed(TeId(0));
             j.note_te_removed(TeId(3));
             for i in 0..20 {
-                let d = j.schedule(SimTime::ZERO, &req(i, 5, 512, 64), &pool);
+                let d = schedule(&mut j, &req(i, 5, 512, 64));
                 match d.target {
                     Target::Colocated(te) => {
                         assert_ne!(te, TeId(0), "{policy:?} routed to removed TE")
@@ -809,17 +875,16 @@ mod tests {
     #[test]
     fn readded_te_is_schedulable_again() {
         let mut j = je(Policy::LoadAware);
-        let mut pool = pool_2c_1pair();
-        pool.loads.insert(TeId(1), TeSnapshot { load: 50 });
-        pool.loads.insert(TeId(2), TeSnapshot { load: 50 });
-        pool.loads.insert(TeId(3), TeSnapshot { load: 50 });
+        j.set_load(TeId(1), 50);
+        j.set_load(TeId(2), 50);
+        j.set_load(TeId(3), 50);
         j.note_te_removed(TeId(0));
         assert!(j.is_removed(TeId(0)));
-        let d = j.schedule(SimTime::ZERO, &req(1, 1, 512, 64), &pool);
+        let d = schedule(&mut j, &req(1, 1, 512, 64));
         assert_ne!(d.target, Target::Colocated(TeId(0)));
         j.note_te_added(TeId(0));
         assert!(!j.is_removed(TeId(0)));
-        let d2 = j.schedule(SimTime::ZERO, &req(2, 1, 512, 64), &pool);
+        let d2 = schedule(&mut j, &req(2, 1, 512, 64));
         assert_eq!(
             d2.target,
             Target::Colocated(TeId(0)),
@@ -828,21 +893,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty TE pool")]
-    fn all_tes_removed_panics_like_empty_pool() {
-        let mut j = je(Policy::Combined);
-        let pool = pool_2c_1pair();
-        for t in [0, 1, 2, 3] {
-            j.note_te_removed(TeId(t));
-        }
-        j.schedule(SimTime::ZERO, &req(1, 1, 100, 10), &pool);
+    fn shared_decode_load_moves_every_pair_it_backs() {
+        // 2P1D: prefills 0 and 1 share decode 2.
+        let mut j = JobExecutor::new(
+            Policy::LoadAware,
+            Heatmap::default_production(),
+            Box::new(Oracle),
+            16,
+        );
+        j.register_pool(&[], &[(TeId(0), TeId(2)), (TeId(1), TeId(2))]);
+        j.set_load(TeId(0), 3);
+        j.set_load(TeId(2), 7);
+        let pairs: Vec<_> = j.routable_pairs().collect();
+        assert_eq!(pairs, [(TeId(0), TeId(2), 7), (TeId(1), TeId(2), 7)]);
+        j.set_load(TeId(2), 1);
+        let pairs: Vec<_> = j.routable_pairs().collect();
+        assert_eq!(pairs, [(TeId(1), TeId(2), 1), (TeId(0), TeId(2), 3)]);
+        j.note_te_removed(TeId(2));
+        assert_eq!(j.routable_pairs().count(), 0);
+        assert!(j.schedule(SimTime::ZERO, &req(1, 1, 512, 64)).is_none());
     }
 
     #[test]
-    #[should_panic(expected = "empty TE pool")]
-    fn empty_pool_panics() {
+    fn all_tes_removed_schedules_nothing_like_empty_pool() {
         let mut j = je(Policy::Combined);
-        let pool = SchedPool::default();
-        j.schedule(SimTime::ZERO, &req(1, 1, 100, 10), &pool);
+        for t in [0, 1, 2, 3] {
+            j.note_te_removed(TeId(t));
+        }
+        assert_eq!(j.schedule(SimTime::ZERO, &req(1, 1, 100, 10)), None);
+    }
+
+    #[test]
+    fn empty_pool_schedules_nothing() {
+        let mut j = JobExecutor::new(
+            Policy::Combined,
+            Heatmap::default_production(),
+            Box::new(Oracle),
+            16,
+        );
+        assert_eq!(j.schedule(SimTime::ZERO, &req(1, 1, 100, 10)), None);
     }
 }

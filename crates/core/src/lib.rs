@@ -43,7 +43,7 @@ pub use api::{
 pub use cluster::{ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent, RunReport, TeRole};
 pub use fleet::{fleet_catalog, ColdStartMode, FleetConfig, LoadState, ModelEntry, ModelRegistry};
 pub use heatmap::Heatmap;
-pub use je::{Decision, JobExecutor, Policy, SchedPool, Target, TeSnapshot};
+pub use je::{Decision, JobExecutor, Policy, Target};
 pub use manager::{
     AutoscaleSignal, Autoscaler, AutoscalerConfig, HealthConfig, HealthMonitor, PodPool,
     PreloadManager, ScaleAction, TePool,

@@ -2,43 +2,268 @@
 //! scheduler, the heatmap, the autoscaler, and the scaling cost model.
 
 use deepserve::{
-    ApiRequest, AutoscaleSignal, Autoscaler, AutoscalerConfig, Heatmap, JobExecutor, LoadPath,
-    Oracle, Policy, ScaleAction, ScalingModel, ScalingOptimizations, SchedPool, SourceLoad, Target,
-    TeId, TeSnapshot,
+    ApiRequest, AutoscaleSignal, Autoscaler, AutoscalerConfig, Decision, GlobalPromptTree, Heatmap,
+    JobExecutor, LoadPath, Oracle, Policy, ScaleAction, ScalingModel, ScalingOptimizations,
+    SourceLoad, Target, TeId,
 };
-use flowserve::synthetic_tokens;
+use flowserve::{synthetic_tokens, TokenId};
 use llm_model::{Checkpoint, ModelSpec, Parallelism};
 use npu::pagecache::FileId;
 use npu::specs::ClusterSpec;
 use proptest::prelude::*;
-use simcore::SimTime;
-use std::collections::HashMap;
+use simcore::{Counters, SimTime};
+use std::cmp::Reverse;
 
-fn pool(n_coloc: usize, n_pairs: usize, loads: &[usize]) -> SchedPool {
-    let mut p = SchedPool::default();
-    let mut id = 0u32;
-    for _ in 0..n_coloc {
-        p.colocated.push(TeId(id));
-        id += 1;
+const POLICIES: [Policy; 5] = [
+    Policy::RoundRobin,
+    Policy::LoadAware,
+    Policy::LocalityAware,
+    Policy::PdAware,
+    Policy::Combined,
+];
+
+fn new_je(policy: Policy) -> JobExecutor {
+    JobExecutor::new(policy, Heatmap::default_production(), Box::new(Oracle), 16)
+}
+
+/// `n_coloc` colocated TEs then `n_pairs` (prefill, decode) pairs, ids
+/// ascending.
+fn pool(n_coloc: usize, n_pairs: usize) -> (Vec<TeId>, Vec<(TeId, TeId)>) {
+    let colocated = (0..n_coloc as u32).map(TeId).collect();
+    let pairs = (0..n_pairs as u32)
+        .map(|k| {
+            let p = n_coloc as u32 + 2 * k;
+            (TeId(p), TeId(p + 1))
+        })
+        .collect();
+    (colocated, pairs)
+}
+
+/// A JE over `pool(n_coloc, n_pairs)` where TE `t` carries `loads[t]`
+/// (0 past the end).
+fn pooled_je(policy: Policy, n_coloc: usize, n_pairs: usize, loads: &[usize]) -> JobExecutor {
+    let (colocated, pairs) = pool(n_coloc, n_pairs);
+    let mut je = new_je(policy);
+    je.register_pool(&colocated, &pairs);
+    for t in 0..(n_coloc + 2 * n_pairs) as u32 {
+        je.set_load(TeId(t), loads.get(t as usize).copied().unwrap_or(0));
     }
-    for _ in 0..n_pairs {
-        p.pairs.push((TeId(id), TeId(id + 1)));
-        id += 2;
+    je
+}
+
+/// The brute-force scan the JE's load index replaced, restated over plain
+/// `Vec`s: every decision rebuilds the routable groups and rescans them.
+struct Reference {
+    policy: Policy,
+    colocated: Vec<TeId>,
+    pairs: Vec<(TeId, TeId)>,
+    loads: Vec<usize>,
+    removed: Vec<bool>,
+    /// Global prompt trees: colocated, prefill.
+    trees: [GlobalPromptTree; 2],
+    rr: usize,
+    counters: Counters,
+}
+
+impl Reference {
+    fn schedule(&mut self, req: &ApiRequest) -> Option<Decision> {
+        let up = |t: TeId| !self.removed[t.0 as usize];
+        let coloc: Vec<Target> = self
+            .colocated
+            .iter()
+            .copied()
+            .filter(|&t| up(t))
+            .map(Target::Colocated)
+            .collect();
+        let disagg: Vec<Target> = self
+            .pairs
+            .iter()
+            .copied()
+            .filter(|&(p, d)| up(p) && up(d))
+            .map(|(prefill, decode)| Target::Disaggregated { prefill, decode })
+            .collect();
+        let all: Vec<Target> = coloc.iter().chain(&disagg).copied().collect();
+        if all.is_empty() {
+            return None;
+        }
+        let predicted = req.target_output; // Oracle
+        let key = |t: &Target| match *t {
+            Target::Colocated(te) => (self.loads[te.0 as usize], te),
+            Target::Disaggregated {
+                prefill: p,
+                decode: d,
+            } => (self.loads[p.0 as usize].max(self.loads[d.0 as usize]), p),
+        };
+        let matched = |t: &Target| {
+            let tree = &self.trees[matches!(t, Target::Disaggregated { .. }) as usize];
+            tree.match_tokens(&req.prompt)
+                .get(&t.locality_te())
+                .copied()
+                .unwrap_or(0)
+        };
+        let least = |g: &[Target]| g.iter().copied().min_by_key(key);
+        let best = |g: &[Target]| {
+            g.iter()
+                .copied()
+                .filter(|t| matched(t) > 0)
+                .max_by_key(|t| (matched(t), Reverse(t.locality_te())))
+        };
+        let mut bumped = Vec::new();
+        let mut heat = 0.0;
+        let target = match self.policy {
+            Policy::RoundRobin => {
+                bumped.push("je.rr");
+                all[self.rr % all.len()]
+            }
+            Policy::LoadAware => {
+                bumped.push("je.load");
+                least(&all)?
+            }
+            Policy::LocalityAware => {
+                bumped.push("je.locality");
+                best(&coloc)
+                    .or_else(|| best(&disagg))
+                    .or_else(|| least(&all))?
+            }
+            Policy::PdAware | Policy::Combined => {
+                heat = Heatmap::default_production().lookup(req.prefill_len(), predicted);
+                let mut prefer_disagg = heat >= 0.0;
+                if let (Some(c), Some(d)) = (least(&coloc), least(&disagg)) {
+                    let (c, d) = (key(&c).0 as f64, key(&d).0 as f64);
+                    // The JE's defaults: overload factor 2, balance threshold 4.
+                    if (prefer_disagg && d > 2.0 * c + 4.0) || (!prefer_disagg && c > 2.0 * d + 4.0)
+                    {
+                        prefer_disagg = !prefer_disagg;
+                        bumped.push("je.heatmap_overridden");
+                    }
+                }
+                let group = match (prefer_disagg, coloc.is_empty(), disagg.is_empty()) {
+                    (true, _, false) => {
+                        bumped.push("je.heatmap_disagg");
+                        &disagg
+                    }
+                    (false, false, _) => {
+                        bumped.push("je.heatmap_coloc");
+                        &coloc
+                    }
+                    (_, false, _) => &coloc,
+                    _ => &disagg,
+                };
+                let loads: Vec<usize> = group.iter().map(|t| key(t).0).collect();
+                let spread = loads.iter().max()? - loads.iter().min()?;
+                if self.policy == Policy::PdAware {
+                    bumped.push("je.pd");
+                    least(group)?
+                } else if spread <= 4 {
+                    bumped.push("je.combined_locality");
+                    best(group).or_else(|| least(group))?
+                } else {
+                    bumped.push("je.combined_load");
+                    least(group)?
+                }
+            }
+        };
+        let decision = Decision {
+            target,
+            predicted_decode: predicted,
+            heat,
+            matched_tokens: matched(&target),
+        };
+        self.rr += usize::from(self.policy == Policy::RoundRobin);
+        for name in bumped {
+            self.counters.incr(name);
+        }
+        Some(decision)
     }
-    let mut loads_map = HashMap::new();
-    for t in 0..id {
-        loads_map.insert(
-            TeId(t),
-            TeSnapshot {
-                load: loads.get(t as usize).copied().unwrap_or(0),
-            },
-        );
-    }
-    p.loads = loads_map;
+}
+
+/// Six prompts over two shared 64-token bases, 80-112 tokens long.
+fn prompt(k: usize) -> Vec<TokenId> {
+    let mut p = synthetic_tokens(1 + k as u64 % 2, 64, 64_000);
+    p.extend(synthetic_tokens(10 + k as u64, 16 + 16 * (k % 3), 64_000));
     p
 }
 
 proptest! {
+    /// The JE's load index against the brute-force scan it replaced: random
+    /// pools (some pairs sharing a decode TE), random load / removal /
+    /// re-admission / cache reports, every policy. Every decision and every
+    /// counter must match at every step.
+    #[test]
+    fn load_index_matches_brute_force_scan(
+        policy_idx in 0usize..5,
+        shape in (0usize..7, 0usize..5),
+        decode_pick in prop::collection::vec(0usize..4, 4),
+        id_keys in prop::collection::vec(any::<u64>(), 16),
+        ops in prop::collection::vec((0usize..10, 0usize..16, 0usize..12, any::<bool>()), 1..60),
+    ) {
+        let policy = POLICIES[policy_idx];
+        let (n_coloc, n_prefill) = shape;
+        // Decode slot per prefill TE; equal slots share one decode TE.
+        let slots: Vec<usize> = decode_pick[..n_prefill].iter().map(|k| k % n_prefill).collect();
+        let mut distinct = slots.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let n = n_coloc + n_prefill + distinct.len();
+        // Random id permutation, so roles interleave in id order.
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.sort_by_key(|&i| id_keys[i as usize]);
+        let mut colocated: Vec<TeId> = ids[..n_coloc].iter().map(|&i| TeId(i)).collect();
+        colocated.sort_unstable();
+        let pairs: Vec<(TeId, TeId)> = slots.iter().enumerate().map(|(i, s)| {
+            let d = distinct.iter().position(|x| x == s).unwrap_or(0);
+            (TeId(ids[n_coloc + i]), TeId(ids[n_coloc + n_prefill + d]))
+        }).collect();
+
+        let mut je = new_je(policy);
+        je.register_pool(&colocated, &pairs);
+        let mut reference = Reference {
+            policy,
+            colocated,
+            pairs,
+            // One id past the pool: reports about it must be ignored.
+            loads: vec![0; n + 1],
+            removed: vec![false; n + 1],
+            trees: [GlobalPromptTree::new(16, 200_000), GlobalPromptTree::new(16, 200_000)],
+            rr: 0,
+            counters: Counters::new(),
+        };
+        for (step, &(kind, a, b, flag)) in ops.iter().enumerate() {
+            let te = TeId((a % (n + 1)) as u32);
+            match kind {
+                0..=2 => {
+                    je.set_load(te, b);
+                    reference.loads[te.0 as usize] = b;
+                }
+                3 => {
+                    je.note_te_removed(te);
+                    reference.trees.iter_mut().for_each(|t| t.remove_te(te));
+                    reference.removed[te.0 as usize] = true;
+                    reference.counters.incr("je.te_removed");
+                }
+                4 => {
+                    je.note_te_added(te);
+                    reference.removed[te.0 as usize] = false;
+                    reference.counters.incr("je.te_added");
+                }
+                5 | 6 => {
+                    let tokens = prompt(b % 6);
+                    je.note_cached(SimTime::ZERO, te, flag, &tokens);
+                    reference.trees[usize::from(flag)].insert(SimTime::ZERO, te, &tokens);
+                }
+                _ => {
+                    let req = ApiRequest::chat(step as u64, prompt(a % 6), 1 + (b % 6) as u32, SimTime::ZERO);
+                    let got = je.schedule(SimTime::ZERO, &req);
+                    prop_assert_eq!(got, reference.schedule(&req), "{:?} step {}", policy, step);
+                }
+            }
+            prop_assert_eq!(je.is_removed(te), reference.removed[te.0 as usize]);
+            let got: Vec<_> = je.counters().iter().collect();
+            let want: Vec<_> = reference.counters.iter().collect();
+            prop_assert_eq!(got, want, "{:?} counters after step {}", policy, step);
+        }
+    }
+
     /// Every policy always returns a target that exists in the pool.
     #[test]
     fn scheduler_targets_are_in_pool(
@@ -50,26 +275,16 @@ proptest! {
         policy_idx in 0usize..5,
     ) {
         prop_assume!(n_coloc + n_pairs > 0);
-        let policy = [
-            Policy::RoundRobin,
-            Policy::LoadAware,
-            Policy::LocalityAware,
-            Policy::PdAware,
-            Policy::Combined,
-        ][policy_idx];
-        let p = pool(n_coloc, n_pairs, &loads);
-        let mut je = JobExecutor::new(
-            policy,
-            Heatmap::default_production(),
-            Box::new(Oracle),
-            16,
-        );
+        let (colocated, pairs) = pool(n_coloc, n_pairs);
+        let mut je = pooled_je(POLICIES[policy_idx], n_coloc, n_pairs, &loads);
         let req = ApiRequest::chat(1, synthetic_tokens(1, prefill, 64_000), output, SimTime::ZERO);
-        let d = je.schedule(SimTime::ZERO, &req, &p);
+        let Some(d) = je.schedule(SimTime::ZERO, &req) else {
+            return Err(TestCaseError::fail("non-empty pool scheduled nothing"));
+        };
         match d.target {
-            Target::Colocated(te) => prop_assert!(p.colocated.contains(&te)),
+            Target::Colocated(te) => prop_assert!(colocated.contains(&te)),
             Target::Disaggregated { prefill, decode } => {
-                prop_assert!(p.pairs.contains(&(prefill, decode)));
+                prop_assert!(pairs.contains(&(prefill, decode)));
             }
         }
         prop_assert!(d.predicted_decode >= 1);
@@ -79,17 +294,10 @@ proptest! {
     /// TE than the minimum.
     #[test]
     fn load_aware_is_greedy(loads in prop::collection::vec(0usize..100, 4)) {
-        let p = pool(4, 0, &loads);
-        let mut je = JobExecutor::new(
-            Policy::LoadAware,
-            Heatmap::default_production(),
-            Box::new(Oracle),
-            16,
-        );
+        let mut je = pooled_je(Policy::LoadAware, 4, 0, &loads);
         let req = ApiRequest::chat(1, synthetic_tokens(1, 512, 64_000), 100, SimTime::ZERO);
-        let d = je.schedule(SimTime::ZERO, &req, &p);
-        let Target::Colocated(te) = d.target else {
-            return Err(TestCaseError::fail("no pairs configured"));
+        let Some(Decision { target: Target::Colocated(te), .. }) = je.schedule(SimTime::ZERO, &req) else {
+            return Err(TestCaseError::fail("expected a colocated TE"));
         };
         let min = loads.iter().copied().min().unwrap_or(0);
         prop_assert_eq!(loads[te.0 as usize], min);
