@@ -28,8 +28,8 @@ use npu::storage::{fault_time, ServerStore, Tier};
 use simcore::fault::{FaultEvent, FaultKind, FaultPlan};
 use simcore::trace::{SpanId, Trace, TraceLevel, Tracer};
 use simcore::{
-    Clock, Counters, FifoChannel, LatencyStats, MetricsRegistry, SimDuration, SimTime,
-    TimeMultiset, CLASS_ARRIVAL, CLASS_DEFAULT,
+    Clock, Counters, FifoChannel, Lane, LatencyStats, MetricsRegistry, SimDuration, SimTime,
+    CLASS_ARRIVAL, CLASS_DEFAULT,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -72,14 +72,13 @@ pub enum LiveEvent {
 /// State for live (gateway-fed) ingress. See the "Serving façade" section
 /// of DESIGN.md for the determinism contract this upholds.
 struct LiveState {
-    /// Every pending event time — a mirror of the queue, maintained by
-    /// `sched`/`note_popped`. Live arrivals are bumped off any occupied
-    /// instant so a (time, seq) tie can never order an arrival differently
-    /// between the live run and its replay.
-    pending: TimeMultiset,
     /// Most recent accepted arrival instant; live arrivals are strictly
     /// increasing so the replayed workload is sorted and collision-free.
     last_arrival: SimTime,
+    /// Highest limit any `step_until` has run to. Fast-forward may have
+    /// absorbed decode boundaries up to it, so no live arrival is stamped
+    /// earlier.
+    stepped_to: SimTime,
     /// The ingress log: every accepted submission with its final (bumped)
     /// arrival stamp. `inject`ing these into a fresh sim replays the live
     /// run bit-for-bit.
@@ -87,7 +86,7 @@ struct LiveState {
     /// Notifications buffered since the last `take_live_events`.
     events: Vec<LiveEvent>,
     /// Wall frontier while inside `step_until`: fast-forward may absorb
-    /// iterations ending at or before this instant but never beyond it.
+    /// iterations ending before this instant, never at or beyond it.
     pace_limit: Option<SimTime>,
 }
 
@@ -372,10 +371,6 @@ pub struct ClusterSim {
     /// (macro-stepping). On by default; outcome is bit-identical either
     /// way, only event counts and wall-clock change.
     fast_forward: bool,
-    /// Multiset of pending *horizon-bounding* event times (everything but
-    /// non-prefill `Wake`s). The earliest entry is the horizon handed to
-    /// fast-forwarding engines: no absorption at or past it.
-    horizon_times: TimeMultiset,
     /// Livelock guard: one `run_to_completion` or `step_until` call panics
     /// once it has processed this many events.
     event_budget: u64,
@@ -537,7 +532,6 @@ impl ClusterSim {
             tracer: Tracer::disabled(),
             metrics: MetricsRegistry::new(),
             fast_forward: true,
-            horizon_times: TimeMultiset::new(),
             event_budget: 200_000_000,
             events_processed: 0,
             events_scratch: Vec::new(),
@@ -632,56 +626,25 @@ impl ClusterSim {
         self.events_processed
     }
 
-    /// Whether `ev` bounds the fast-forward horizon. Everything external
-    /// can mutate an engine mid-window (arrivals, populates, fabric
-    /// completions, faults, repairs, health sweeps) — except non-prefill
-    /// `Wake`s, whose handlers only progress their own engine and emit
-    /// events that never touch another TE. Prefill wakes stay bounding:
-    /// a completed prefill starts a KV migration toward a decode TE.
-    fn bounds_horizon(&self, ev: Event) -> bool {
-        match ev {
-            Event::Wake(te) => self.tes[te.0 as usize].role == TeRole::Prefill,
-            _ => true,
-        }
-    }
-
-    /// Schedules `ev`, recording horizon-bounding times in the multiset
-    /// consulted by fast-forwarding engines. All event scheduling must go
-    /// through here (not `clock.schedule`) or fast-forward could absorb
-    /// past an unrecorded interaction.
+    /// Schedules `ev`. The shared lane's head is the horizon handed to
+    /// fast-forwarding engines, so everything that can mutate an engine
+    /// mid-window (arrivals, populates, fabric completions, faults,
+    /// repairs, health sweeps) goes there. Non-prefill `Wake`s take their
+    /// own lane: their handlers only progress their own engine and emit
+    /// events that never touch another TE. Prefill wakes stay shared: a
+    /// completed prefill starts a KV migration toward a decode TE.
+    /// Arrivals carry the arrival class so a streamed arrival scheduled
+    /// late (one-lookahead) still wins same-instant ties exactly like its
+    /// materialized twin with a globally-early sequence number would.
     fn sched(&mut self, at: SimTime, ev: Event) {
-        if self.bounds_horizon(ev) {
-            self.horizon_times.insert(at);
-        }
-        if let Some(live) = &mut self.live {
-            live.pending.insert(at);
-        }
-        // Shard the queue by producer: each TE's wakes (the bulk of all
-        // traffic) go to a private sub-queue, everything else to shard 0.
-        // Pop order is identical to a single queue — sharding only splits
-        // the heaps. Arrivals carry the arrival class so a streamed
-        // arrival scheduled late (one-lookahead) still wins same-instant
-        // ties exactly like its materialized twin with a globally-early
-        // sequence number would.
-        let (shard, class) = match ev {
-            Event::Wake(te) => (te.0 as usize + 1, CLASS_DEFAULT),
-            Event::Arrival(_) => (0, CLASS_ARRIVAL),
-            _ => (0, CLASS_DEFAULT),
+        let (lane, class) = match ev {
+            Event::Wake(te) if self.tes[te.0 as usize].role != TeRole::Prefill => {
+                (Lane::Own, CLASS_DEFAULT)
+            }
+            Event::Arrival(_) => (Lane::Shared, CLASS_ARRIVAL),
+            _ => (Lane::Shared, CLASS_DEFAULT),
         };
-        self.clock.schedule_sharded(at, shard, class, ev);
-    }
-
-    /// Bookkeeping for a popped event: drops its horizon-bounding entry
-    /// (and, in live mode, its all-pending-times mirror entry). Every pop
-    /// must pair with this or the horizon would stay pinned at a past
-    /// instant.
-    fn note_popped(&mut self, now: SimTime, ev: Event) {
-        if self.bounds_horizon(ev) {
-            self.horizon_times.remove(now);
-        }
-        if let Some(live) = &mut self.live {
-            live.pending.remove(now);
-        }
+        self.clock.schedule_in(lane, at, class, ev);
     }
 
     /// Queues a workload (arrivals must be time-sorted).
@@ -791,16 +754,16 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if anything was already scheduled or injected — the live
-    /// pending-times mirror must observe every event from the start.
+    /// Panics if anything was already scheduled or injected — the ingress
+    /// log must hold every arrival or it would not replay the run.
     pub fn enable_live_ingress(&mut self) {
         assert!(
             self.clock.peek_time().is_none() && self.arrivals.is_empty(),
             "enable_live_ingress must be called on a fresh sim"
         );
         self.live = Some(LiveState {
-            pending: TimeMultiset::new(),
             last_arrival: SimTime::ZERO,
+            stepped_to: SimTime::ZERO,
             ingress: Vec::new(),
             events: Vec::new(),
             pace_limit: None,
@@ -810,10 +773,12 @@ impl ClusterSim {
     /// Submits one live request. `req.arrival` is the caller's wall-clock
     /// mapping of "now" in sim time; the sim may move it later — never
     /// earlier — so that arrivals are strictly increasing, strictly after
-    /// the current instant, and never collide with any pending event time
-    /// (a (time, seq) tie could order live and replay runs differently).
-    /// Returns the final arrival stamp, which is what the ingress log
-    /// records and what a replay will use verbatim.
+    /// the current instant, no earlier than the highest limit
+    /// [`ClusterSim::step_until`] has run to (fast-forward may have
+    /// absorbed decode work up to it), and never collide with any pending
+    /// event time (a (time, seq) tie could order live and replay runs
+    /// differently). Returns the final arrival stamp, which is what the
+    /// ingress log records and what a replay will use verbatim.
     ///
     /// # Panics
     ///
@@ -835,8 +800,12 @@ impl ClusterSim {
             let Some(live) = self.live.as_mut() else {
                 unreachable!("asserted above");
             };
-            let mut at = req.arrival.max_of(floor).max_of(live.last_arrival + one);
-            while live.pending.contains(at) {
+            let mut at = req
+                .arrival
+                .max_of(floor)
+                .max_of(live.stepped_to)
+                .max_of(live.last_arrival + one);
+            while self.clock.has_event_at(at) {
                 at += one;
             }
             live.last_arrival = at;
@@ -850,11 +819,11 @@ impl ClusterSim {
     }
 
     /// Processes every event due at or before `limit`, then stops; the
-    /// queue keeps everything later. Fast-forward absorption is clamped to
-    /// `limit` for the duration, so the execution is the same
-    /// event-for-event prefix the unclamped run would produce. Returns the
-    /// next pending event time, if any — the caller's cue for how long to
-    /// sleep.
+    /// queue keeps everything later. Fast-forward absorbs only iterations
+    /// ending before `limit` for the duration, so the execution is the
+    /// same event-for-event prefix the unclamped run would produce.
+    /// Returns the next pending event time, if any — the caller's cue for
+    /// how long to sleep.
     ///
     /// # Panics
     ///
@@ -973,6 +942,9 @@ impl ClusterSim {
     fn drive(&mut self, limit: Option<SimTime>) {
         if let Some(live) = &mut self.live {
             live.pace_limit = limit;
+            if let Some(l) = limit {
+                live.stepped_to = live.stepped_to.max_of(l);
+            }
         }
         let mut processed: u64 = 0;
         while let Some(t) = self.clock.peek_time() {
@@ -982,7 +954,6 @@ impl ClusterSim {
             let Some((now, ev)) = self.clock.next() else {
                 break; // unreachable: peek_time above returned Some
             };
-            self.note_popped(now, ev);
             self.handle(now, ev);
             processed += 1;
             assert!(
@@ -1234,7 +1205,6 @@ impl ClusterSim {
     }
 
     fn submit_to(&mut self, now: SimTime, te_id: TeId, new: NewRequest) {
-        let world = self.cfg.parallelism.world_size() as u64;
         let kv_bytes_tok = self.cfg.model.kv_bytes_per_token();
         let id = new.id;
         let outcome = {
@@ -1253,7 +1223,6 @@ impl ClusterSim {
             let done = te.pcie.enqueue(now, bytes);
             let epoch = te.epoch;
             self.sched(done, Event::Populate(te_id, epoch, p.ticket));
-            let _ = world;
         }
         self.reschedule_wake(now, te_id);
     }
@@ -1281,14 +1250,13 @@ impl ClusterSim {
 
     fn current_pacing(&self) -> Pacing {
         if self.fast_forward {
-            let mut horizon = self.horizon_times.min();
-            // Live pacing: clamp absorption to the wall frontier. The
-            // fence sits one nanosecond past the limit so an iteration
-            // ending exactly at the limit (which `step_until` would still
-            // process) can be absorbed, but nothing beyond it.
+            let mut horizon = self.clock.horizon();
+            // Live pacing: clamp absorption to the wall frontier. An
+            // iteration ending exactly at the limit is not absorbed: it
+            // runs as a wake inside `step_until`, which moves `now` to it,
+            // so a later live arrival lands after every absorbed boundary.
             if let Some(limit) = self.live.as_ref().and_then(|l| l.pace_limit) {
-                let fence = limit + SimDuration::from_nanos(1);
-                horizon = Some(horizon.map_or(fence, |h| h.min(fence)));
+                horizon = Some(horizon.map_or(limit, |h| h.min(limit)));
             }
             Pacing::FastForward { horizon }
         } else {
@@ -2387,11 +2355,6 @@ impl ClusterSim {
     /// Requests that failed permanently (always zero without faults).
     pub fn failed(&self) -> u64 {
         self.failed
-    }
-
-    /// Whether TE `te` is currently up (for tests and benches).
-    pub fn is_alive(&self, te: TeId) -> bool {
-        self.tes[te.0 as usize].alive
     }
 
     /// Sum of every live engine's statistics (benches/diagnostics). The

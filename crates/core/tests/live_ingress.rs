@@ -99,6 +99,78 @@ fn live_run_report_matches_injected_replay() {
     );
 }
 
+fn one_te(fast_forward: bool) -> ClusterSim {
+    let mut s = ClusterSim::new(ClusterConfig::standard_34b(), &[TeRole::Colocated]);
+    s.set_fast_forward(fast_forward);
+    s
+}
+
+/// Request `id` with a 96-token prompt and `output` tokens to decode.
+fn decode_req(id: u64, output: u32, at: SimTime) -> ApiRequest {
+    ApiRequest::chat(id, synthetic_tokens(id, 96, 64_000), output, at)
+}
+
+/// One TE: request 1 decodes 200 tokens from t = 0, the sim steps to
+/// `limit`, then request 2 (8 tokens) arrives claiming `claim`. Returns
+/// the stamp request 2 got and the live and replayed reports.
+fn late_claim_run(fast_forward: bool, limit: SimTime, claim: SimTime) -> (SimTime, String, String) {
+    let mut live = one_te(fast_forward);
+    live.enable_live_ingress();
+    live.submit_live(decode_req(1, 200, SimTime::ZERO));
+    live.step_until(limit);
+    let stamp = live.submit_live(decode_req(2, 8, claim));
+    let log = live.ingress_log().to_vec();
+    let live_json = live.run_to_completion().to_json().to_json();
+
+    let mut replay = one_te(fast_forward);
+    replay.inject(log.iter().map(|r| r.to_request()).collect());
+    let replay_json = replay.run_to_completion().to_json().to_json();
+    (stamp, live_json, replay_json)
+}
+
+/// Runs `late_claim_run` with both pacings; asserts one stamp, no
+/// earlier than `limit`, and a byte-identical replay each time.
+fn assert_late_claim_replays(limit: SimTime, claim: SimTime) -> SimTime {
+    let (ff_stamp, ff_live, ff_replay) = late_claim_run(true, limit, claim);
+    let (ss_stamp, ss_live, ss_replay) = late_claim_run(false, limit, claim);
+    assert_eq!(ff_stamp, ss_stamp, "stamps must not depend on pacing");
+    assert!(ff_stamp >= limit, "stamp {ff_stamp} is before the limit");
+    assert_eq!(ff_live, ff_replay, "fast-forward live run must replay");
+    assert_eq!(ss_live, ss_replay, "single-step live run must replay");
+    ff_stamp
+}
+
+#[test]
+fn arrival_claimed_before_the_last_limit_replays_under_fast_forward() {
+    // Fast-forward may absorb request 1's decode boundaries up to the
+    // 2 s limit while `now` stays at the last popped event, so a stamp
+    // floored only at `now` would land inside already-absorbed work.
+    assert_late_claim_replays(SimTime::from_secs(2), SimTime::from_secs(1));
+}
+
+#[test]
+fn limit_on_a_decode_boundary_runs_it_as_a_wake() {
+    // Request 1's decode boundaries: the single-stepped token events.
+    let mut probe = one_te(false);
+    probe.enable_live_ingress();
+    probe.set_token_events(true);
+    probe.submit_live(decode_req(1, 200, SimTime::ZERO));
+    probe.run_to_completion();
+    let boundaries: Vec<SimTime> = probe
+        .take_live_events()
+        .iter()
+        .filter_map(|e| match *e {
+            LiveEvent::Tokens { at, .. } => Some(at),
+            _ => None,
+        })
+        .collect();
+    // Fast-forward must not absorb the boundary the limit sits on: a
+    // claim at the limit would then land inside finished work.
+    let limit = boundaries[100];
+    let stamp = assert_late_claim_replays(limit, limit);
+    assert!(stamp > limit, "the boundary at the limit must have run");
+}
+
 #[test]
 fn token_events_cover_the_decode_stream() {
     let mut s = sim();

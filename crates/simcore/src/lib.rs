@@ -6,7 +6,8 @@
 //! * [`time`] — integer-nanosecond instants and spans ([`SimTime`],
 //!   [`SimDuration`]); exact, drift-free, totally ordered.
 //! * [`event`] — the event queue and clock ([`EventQueue`], [`Clock`]) with
-//!   FIFO tie-breaking so reruns are bit-identical.
+//!   FIFO tie-breaking so reruns are bit-identical, and two [`Lane`]s whose
+//!   shared head is the fast-forward horizon.
 //! * [`rng`] — seeded randomness ([`SimRng`]) with the distributions the
 //!   workload generators need (exponential, normal, lognormal, Zipf).
 //! * [`metrics`] — samples, percentiles, time series, and the serving
@@ -34,7 +35,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::{Clock, EventQueue, TimeMultiset, CLASS_ARRIVAL, CLASS_DEFAULT};
+pub use event::{Clock, EventQueue, Lane, CLASS_ARRIVAL, CLASS_DEFAULT};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{
     Counters, LatencyStats, MetricId, MetricsRegistry, RequestLatency, Samples, Summary, TimeSeries,

@@ -63,21 +63,6 @@ impl FifoChannel {
         self.busy_until = done;
         done
     }
-
-    /// Time the channel next becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Whether the channel is free at `now`.
-    pub fn is_free(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
-    /// Configured bandwidth, bytes per second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -252,13 +237,6 @@ impl SharedLink {
             }
         }
         self.last_update = now;
-    }
-
-    /// One-shot helper: the time a lone transfer of `bytes` would take on an
-    /// idle link (latency + size/capacity). Used by analytic cost models
-    /// that don't need flow-level interleaving.
-    pub fn lone_transfer_time(&self, bytes: u64) -> SimDuration {
-        self.latency + SimDuration::from_secs_f64(bytes as f64 / self.capacity)
     }
 }
 

@@ -1,32 +1,65 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
 use proptest::prelude::*;
-use simcore::{Clock, EventQueue, Samples, SharedLink, SimDuration, SimRng, SimTime};
+use simcore::{
+    Clock, EventQueue, Lane, Samples, SharedLink, SimDuration, SimRng, SimTime, CLASS_ARRIVAL,
+    CLASS_DEFAULT,
+};
 
 proptest! {
-    /// Events always pop in non-decreasing time order, with FIFO tie-breaks.
+    /// Events pop in (time, class, push index) order whatever lane each
+    /// waits in. After every push and pop, checked against a shadow list:
+    /// `peek_time` is the earliest time, `horizon` the earliest shared-lane
+    /// time, and `has_event_at` agrees with a scan.
     #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
+    fn event_queue_pops_sorted(
+        ops in prop::collection::vec((0u8..10, 0u64..40, any::<bool>(), any::<bool>()), 1..200)
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), i);
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut seen_at_time: Vec<usize> = Vec::new();
-        let mut prev_t = None;
-        while let Some((t, idx)) = q.pop() {
-            prop_assert!(t >= last_time);
-            if prev_t == Some(t) {
-                // FIFO tie-break: indices at equal time must be increasing.
-                prop_assert!(seen_at_time.last().copied().unwrap() < idx);
-                seen_at_time.push(idx);
-            } else {
-                seen_at_time.clear();
-                seen_at_time.push(idx);
+        // (time, class, push index, lane) of every pending event.
+        let mut shadow: Vec<(SimTime, u8, usize, Lane)> = Vec::new();
+        let mut pushed = 0usize;
+        // Three in ten ops pop; every remaining event is popped at the end.
+        let pushes = ops
+            .into_iter()
+            .map(|(kind, t, own, arrival)| (kind >= 3).then_some((t, own, arrival)));
+        let drain = std::iter::repeat_n(None, pushes.len());
+        for op in pushes.chain(drain) {
+            let probe = match op {
+                Some((t, own, arrival)) => {
+                    let time = SimTime::from_nanos(t);
+                    let lane = if own { Lane::Own } else { Lane::Shared };
+                    let class = if arrival { CLASS_ARRIVAL } else { CLASS_DEFAULT };
+                    q.push_in(lane, time, class, pushed);
+                    shadow.push((time, class, pushed, lane));
+                    pushed += 1;
+                    time
+                }
+                None => {
+                    let next = shadow
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &(t, c, i, _))| (t, c, i))
+                        .map(|(pos, _)| pos);
+                    let expected = next.map(|pos| {
+                        let (t, _, i, _) = shadow.remove(pos);
+                        (t, i)
+                    });
+                    prop_assert_eq!(q.pop(), expected);
+                    expected.map_or(SimTime::ZERO, |(t, _)| t)
+                }
+            };
+            prop_assert_eq!(q.len(), shadow.len());
+            prop_assert_eq!(q.peek_time(), shadow.iter().map(|e| e.0).min());
+            prop_assert_eq!(
+                q.horizon(),
+                shadow.iter().filter(|e| e.3 == Lane::Shared).map(|e| e.0).min()
+            );
+            for t in [probe, probe + SimDuration::from_nanos(1)] {
+                prop_assert_eq!(q.has_event_at(t), shadow.iter().any(|e| e.0 == t));
             }
-            prev_t = Some(t);
-            last_time = t;
         }
+        prop_assert!(q.is_empty());
     }
 
     /// The clock never moves backwards no matter the schedule order.
