@@ -5,7 +5,9 @@
 //! crate is the paper's primary contribution: everything above the
 //! FlowServe engine.
 //!
-//! * [`api`] — the request–job–task serverless abstraction (§3).
+//! * [`api`] — the request a frontend submits and its replayable ingress
+//!   record. The request→job→task split of §3 runs at dispatch: a JE
+//!   [`je::Decision`] picks one colocated TE or a prefill/decode pair.
 //! * [`je`] — Job Executors and the distributed scheduling policy
 //!   (Algorithm 1: PD-aware + locality-aware + load-aware, §5).
 //! * [`prompt_tree`] — the JE-side global prompt trees sharing an index
@@ -37,8 +39,8 @@ pub mod prompt_tree;
 pub mod scaling;
 
 pub use api::{
-    materialize, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest, Endpoint,
-    IngressRecord, Job, JobKind, Slo, TaskKind,
+    materialize, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest,
+    IngressRecord,
 };
 pub use cluster::{ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent, RunReport, TeRole};
 pub use fleet::{fleet_catalog, ColdStartMode, FleetConfig, LoadState, ModelEntry, ModelRegistry};

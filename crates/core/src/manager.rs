@@ -20,17 +20,12 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone)]
 pub struct PodPool {
     warm: usize,
-    /// Replenishment target.
-    pub target: usize,
 }
 
 impl PodPool {
     /// Creates a pool holding `target` warm pods.
     pub fn new(target: usize) -> Self {
-        PodPool {
-            warm: target,
-            target,
-        }
+        PodPool { warm: target }
     }
 
     /// Warm pods currently available.
@@ -48,14 +43,6 @@ impl PodPool {
             false
         }
     }
-
-    /// Background replenishment (one pod per call; the infra layer
-    /// backfills asynchronously).
-    pub fn replenish_one(&mut self) {
-        if self.warm < self.target {
-            self.warm += 1;
-        }
-    }
 }
 
 /// Pool of pre-warmed TEs. Stage one made them model-agnostic; stage two
@@ -65,21 +52,12 @@ impl PodPool {
 pub struct TePool {
     masters: usize,
     executors: usize,
-    /// Replenishment targets.
-    pub master_target: usize,
-    /// Executor replenishment target.
-    pub executor_target: usize,
 }
 
 impl TePool {
     /// Creates a pool with the given warm master/executor counts.
     pub fn new(masters: usize, executors: usize) -> Self {
-        TePool {
-            masters,
-            executors,
-            master_target: masters,
-            executor_target: executors,
-        }
+        TePool { masters, executors }
     }
 
     /// Warm `(masters, executors)` currently available.
@@ -97,14 +75,6 @@ impl TePool {
         } else {
             false
         }
-    }
-
-    /// Background replenishment of one master and up to `n` executors.
-    pub fn replenish(&mut self, n: usize) {
-        if self.masters < self.master_target {
-            self.masters += 1;
-        }
-        self.executors = (self.executors + n).min(self.executor_target);
     }
 }
 
@@ -386,13 +356,11 @@ mod tests {
     use npu::pagecache::FileId;
 
     #[test]
-    fn pod_pool_exhausts_and_replenishes() {
+    fn pod_pool_exhausts() {
         let mut p = PodPool::new(2);
         assert!(p.acquire());
         assert!(p.acquire());
         assert!(!p.acquire(), "pool empty -> cold path");
-        p.replenish_one();
-        assert!(p.acquire());
     }
 
     #[test]

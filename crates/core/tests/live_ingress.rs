@@ -1,9 +1,10 @@
 //! Core-level tests for the live-ingress API (`enable_live_ingress` /
-//! `submit_live` / `step_until`) the gateway's serve loop relies on.
+//! `submit_live` / `step_until`) the gateway's serve loop relies on, and
+//! for the request-id rules every ingress path shares.
 
-use deepserve::{ApiRequest, ClusterConfig, ClusterSim, LiveEvent, TeRole};
+use deepserve::{ApiRequest, ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent, TeRole};
 use flowserve::{synthetic_tokens, CacheId};
-use simcore::{SimDuration, SimTime};
+use simcore::{FaultPlan, SimDuration, SimTime};
 
 fn sim() -> ClusterSim {
     ClusterSim::new(
@@ -256,4 +257,44 @@ fn event_budget_applies_per_call_not_per_lifetime() {
 fn one_call_past_the_event_budget_panics() {
     let budget = budget_between_slice_and_total();
     queued_sim(Some(budget)).step_until(SimTime::from_secs(3600));
+}
+
+/// Two in-flight requests with one id would share an index entry: the
+/// first completion would free the second one's slot and the run would
+/// lose a request without failing it. Every build refuses the duplicate.
+/// (`gateway::log::replay` feeds session-log ids straight to `inject`.)
+#[test]
+#[should_panic(expected = "is already in flight")]
+fn inject_refuses_a_duplicate_in_flight_id() {
+    let mut s = sim();
+    s.inject(vec![
+        req(1, SimTime::ZERO),
+        req(1, SimTime::ZERO + SimDuration::from_millis(1)),
+    ]);
+}
+
+/// A live request that reuses a finished request's id starts with clean
+/// fault state: inside a transfer-flake window its first KV transfer
+/// flakes exactly as a fresh id's would.
+#[test]
+fn reused_id_flakes_like_a_fresh_one() {
+    let flakes = |second_id: u64| {
+        let mut s = ClusterSim::new(
+            ClusterConfig::standard_34b(),
+            &[TeRole::Prefill, TeRole::Decode],
+        );
+        s.enable_live_ingress();
+        let plan =
+            FaultPlan::none().with_transfer_flake(SimTime::ZERO, SimDuration::from_secs(600));
+        s.install_faults(&plan, FaultRecoveryConfig::default());
+        s.submit_live(req(1, SimTime::ZERO + SimDuration::from_millis(1)));
+        s.step_until(SimTime::from_secs(60));
+        assert_eq!(s.progress(), (1, 1), "the first request finished");
+        s.submit_live(req(second_id, SimTime::from_secs(61)));
+        let report = s.run_to_completion();
+        assert_eq!(s.progress(), (2, 2));
+        report.counters.get("sim.transfer_flaked")
+    };
+    assert_eq!(flakes(2), 2, "each fresh id flakes once");
+    assert_eq!(flakes(1), 2, "a reused id must flake like a fresh one");
 }

@@ -125,6 +125,61 @@ fn live_replayed() -> String {
     replay_json
 }
 
+/// Asserts `report` exercised every named counter, so a later edit cannot
+/// silently stop a case from reaching the path it pins.
+fn exercised(report: RunReport, counters: &[&'static str]) -> String {
+    for &c in counters {
+        assert!(report.counters.get(c) > 0, "{c} never fired");
+    }
+    render(report)
+}
+
+/// 2P1D plus a colocated TE under a transfer-flake window, a link degrade
+/// and a crash of the decode TE: migration retry, degraded transfers,
+/// aborted migrations and a repair.
+fn pd_faulted() -> String {
+    let plan = FaultPlan::none()
+        .with_transfer_flake(SimTime::from_secs(1), SimDuration::from_secs(3))
+        .with_link_degrade(SimTime::from_secs(2), 0.25, SimDuration::from_secs(6))
+        .with_crash(SimTime::from_secs(6), 2);
+    let roles = [
+        TeRole::Prefill,
+        TeRole::Prefill,
+        TeRole::Decode,
+        TeRole::Colocated,
+    ];
+    let mut sim = ClusterSim::new(combined(), &roles);
+    sim.inject(chat(21, 3.0, 60));
+    sim.install_faults(&plan, FaultRecoveryConfig::default());
+    exercised(
+        sim.run_to_completion(),
+        &[
+            "sim.transfer_flaked",
+            "sim.transfers_degraded",
+            "sim.migrations_aborted",
+            "cluster.repaired",
+        ],
+    )
+}
+
+/// A one-model fleet whose first checkpoint load loses its only target
+/// to a crash: the load aborts and its waiters restart it elsewhere.
+fn fleet_faulted() -> String {
+    let mut rng = SimRng::seed_from_u64(3);
+    let specs = FleetTrace::skewed(1, 2.0).generate(&mut rng, 8);
+    let mut sim = ClusterSim::new(ClusterConfig::standard_34b(), &[TeRole::Colocated; 4]);
+    sim.enable_fleet(fleet_catalog(1), FleetConfig::default());
+    sim.inject(materialize_fleet_trace(&specs, 64_000));
+    sim.install_faults(
+        &FaultPlan::none().with_crash(SimTime::from_secs(2), 0),
+        FaultRecoveryConfig::default(),
+    );
+    exercised(
+        sim.run_to_completion(),
+        &["fleet.loads_aborted", "cluster.repaired"],
+    )
+}
+
 /// A named configuration, its runner, and its recorded digest.
 type Case = (&'static str, fn() -> String, u64);
 
@@ -135,7 +190,11 @@ type Case = (&'static str, fn() -> String, u64);
 /// of rebuilds of its removed-TE pool cache (`{"type":"counter",
 /// "value":1}`), which went with that cache, and nothing else. Its digest
 /// is FNV-1a 64 of the e31bbaf report with exactly that entry removed.
-const CASES: [Case; 6] = [
+///
+/// `pd_faulted` and `fleet_faulted` were recorded at a3c26e1, before
+/// `cluster.rs` was split by concern, to pin the fault paths the split
+/// moves.
+const CASES: [Case; 8] = [
     (
         "colocated_materialized",
         colocated_materialized,
@@ -146,6 +205,8 @@ const CASES: [Case; 6] = [
     ("faulted", faulted, 0x171f_2f6c_bc15_545b),
     ("fleet_multicast", fleet_multicast, 0xf259_48cc_1e1f_fbd0),
     ("live_replayed", live_replayed, 0xd937_472e_0e0b_2c32),
+    ("pd_faulted", pd_faulted, 0x564d_a926_b0ed_055d),
+    ("fleet_faulted", fleet_faulted, 0xca0e_5e50_f769_0218),
 ];
 
 #[test]

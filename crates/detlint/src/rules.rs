@@ -301,7 +301,7 @@ fn parse_allow(rest: &str) -> Option<(Vec<String>, String)> {
 /// Ambiguous names are only flagged behind an explicit `self.` receiver.
 #[derive(Debug, Default)]
 pub struct HashIdents {
-    names: BTreeSet<String>,
+    pub(crate) names: BTreeSet<String>,
     ambiguous: BTreeSet<String>,
 }
 
@@ -328,7 +328,14 @@ fn ident_before_colon(chars: &[char], colon: usize) -> Option<String> {
 }
 
 /// Collects hash-typed identifier declarations from non-test code lines.
-pub fn collect_hash_idents(file: &LexedFile, mask: &[bool]) -> HashIdents {
+/// `shared` holds the names declared hash-typed anywhere in the file's
+/// module directory: a struct declared in `mod.rs` has its fields iterated
+/// from sibling files.
+pub fn collect_hash_idents(
+    file: &LexedFile,
+    mask: &[bool],
+    shared: &BTreeSet<String>,
+) -> HashIdents {
     let mut out = HashIdents::default();
     let mut let_bindings: BTreeMap<String, (bool, bool)> = BTreeMap::new(); // name -> (hash, other)
     for (idx, line) in file.code.iter().enumerate() {
@@ -404,6 +411,7 @@ pub fn collect_hash_idents(file: &LexedFile, mask: &[bool]) -> HashIdents {
             }
         }
     }
+    out.names.extend(shared.iter().cloned());
     for (name, (hash, other)) in let_bindings {
         if hash {
             out.names.insert(name.clone());
@@ -471,8 +479,15 @@ pub struct FileReport {
     pub waivers: Vec<Waiver>,
 }
 
-/// Runs every in-scope rule over one lexed file.
-pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
+/// Runs every in-scope rule over one lexed file. `module_hash` is the set
+/// of hash-typed names declared across the file's module directory (see
+/// [`collect_hash_idents`]).
+pub fn check_file(
+    rel: &str,
+    file: &LexedFile,
+    scope: Scope,
+    module_hash: &BTreeSet<String>,
+) -> FileReport {
     let mask = test_mask(file);
     let (waiver_map, all_waivers) = collect_waivers(file);
     let mut used: BTreeSet<(usize, String)> = BTreeSet::new(); // (decl_line, rule)
@@ -482,7 +497,7 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
     let mut candidates: Vec<(usize, &'static str, String)> = Vec::new(); // (line idx, rule, message)
 
     let hash_idents = if scope.d1 {
-        collect_hash_idents(file, &mask)
+        collect_hash_idents(file, &mask, module_hash)
     } else {
         HashIdents::default()
     };

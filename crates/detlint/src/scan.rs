@@ -4,6 +4,7 @@
 use crate::lexer;
 use crate::report::Report;
 use crate::rules::{self, Scope};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -57,16 +58,36 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
+/// The directory holding `rel`: the files of one module tree.
+fn module_dir(rel: &str) -> &str {
+    rel.rsplit_once('/').map_or("", |(dir, _)| dir)
+}
+
 /// Scans the workspace rooted at `root` and returns the full report.
 pub fn scan(root: &Path) -> io::Result<Report> {
     let files = collect_rust_files(root)?;
-    let mut report = Report::new(root.display().to_string());
+    let mut lexed = Vec::with_capacity(files.len());
     for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        let lexed = lexer::lex(&src);
-        let scope = Scope::for_path(rel);
-        let file_report = rules::check_file(rel, &lexed, scope);
-        report.absorb(file_report);
+        lexed.push(lexer::lex(&fs::read_to_string(root.join(rel))?));
+    }
+    // A struct's hash-typed fields may be iterated from any file of its
+    // module directory, so `unordered-iter` pools declarations per
+    // directory before checking any file.
+    let mut module_hash: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for (rel, file) in files.iter().zip(&lexed) {
+        if Scope::for_path(rel).d1 {
+            let own = rules::collect_hash_idents(file, &rules::test_mask(file), &BTreeSet::new());
+            module_hash
+                .entry(module_dir(rel))
+                .or_default()
+                .extend(own.names);
+        }
+    }
+    let mut report = Report::new(root.display().to_string());
+    let none = BTreeSet::new();
+    for (rel, file) in files.iter().zip(&lexed) {
+        let shared = module_hash.get(module_dir(rel)).unwrap_or(&none);
+        report.absorb(rules::check_file(rel, file, Scope::for_path(rel), shared));
     }
     report.finish(files.len());
     Ok(report)

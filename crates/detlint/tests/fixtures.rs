@@ -1,6 +1,7 @@
 //! Fixture-corpus tests: one deliberate violation and one valid waiver per
-//! rule, scope exemptions (bench, test code), lexer tricky cases, and the
-//! JSON report shape. The corpus lives in
+//! rule, a hash-typed field declared in a module's `mod.rs` and iterated
+//! from a sibling file, scope exemptions (bench, test code), lexer tricky
+//! cases, and the JSON report shape. The corpus lives in
 //! `fixtures/ws/` and is excluded from real scans by `scan::SKIP_PREFIXES`.
 
 use detlint::scan;
@@ -29,6 +30,7 @@ fn fixture_violations_exact() {
     let expected: Vec<(String, usize, String)> = [
         ("crates/core/src/fleet.rs", 9, "panic"),
         ("crates/core/src/fleet.rs", 14, "unordered-iter"),
+        ("crates/core/src/sim/faults.rs", 5, "unordered-iter"),
         ("crates/gateway/src/facade.rs", 4, "panic"),
         ("crates/gateway/src/facade.rs", 9, "unordered-iter"),
         ("crates/simcore/src/bad_iter.rs", 10, "unordered-iter"),
@@ -47,7 +49,7 @@ fn fixture_violations_exact() {
     .map(|(f, l, r)| (f.to_string(), *l, r.to_string()))
     .collect();
     assert_eq!(got, expected, "violation set must match the corpus exactly");
-    assert_eq!(report.files_scanned, 14);
+    assert_eq!(report.files_scanned, 16);
     assert!(!report.is_clean());
 }
 
@@ -64,6 +66,9 @@ fn fixture_diagnostics_render_exact() {
         "crates/core/src/fleet.rs:14: [unordered-iter] `for … in self.hosts`: \
          `hosts` is a HashMap/HashSet — iteration order is the hasher's, not the program's\n    \
          for (_, tes) in &self.hosts {\n",
+        "crates/core/src/sim/faults.rs:5: [unordered-iter] `retries.keys()`: \
+         `retries` is a HashMap/HashSet — iteration order is the hasher's, not the program's\n    \
+         self.retries.keys().copied().collect()\n",
         "crates/gateway/src/facade.rs:4: [panic] `unwrap()`: library code must degrade \
          gracefully (debug_assert + fallback) instead of panicking\n    v.unwrap()\n",
         "crates/gateway/src/facade.rs:9: [unordered-iter] `for … in sessions`: \
@@ -107,7 +112,7 @@ fn fixture_diagnostics_render_exact() {
 
     // Summary footer.
     assert!(
-        text.contains("detlint: 14 file(s) scanned, 15 violation(s), 11 waiver(s)"),
+        text.contains("detlint: 16 file(s) scanned, 16 violation(s), 11 waiver(s)"),
         "summary mismatch:\n{text}"
     );
 }
@@ -234,7 +239,7 @@ fn json_report_round_trips() {
     );
     assert_eq!(
         value.get("files_scanned").and_then(|v| v.as_u64()),
-        Some(14)
+        Some(16)
     );
 
     let violations = value

@@ -303,21 +303,9 @@ impl Engine {
         self.waiting.len() + self.waiting_kv.len()
     }
 
-    /// Requests currently prefilling or decoding.
-    pub fn active_len(&self) -> usize {
-        self.running_prefill.len() + self.running_decode.len()
-    }
-
     /// Total requests the engine is responsible for right now.
     pub fn load(&self) -> usize {
         self.requests.len()
-    }
-
-    /// Sum of KV tokens currently held (proxy for memory pressure).
-    pub fn kv_tokens_held(&self) -> usize {
-        // Arena iteration is slot-ordered (deterministic), and the sum is
-        // commutative besides.
-        self.requests.values().map(|r| r.table.tokens()).sum()
     }
 
     /// Sets the iteration wall-time multiplier (fault injection: a

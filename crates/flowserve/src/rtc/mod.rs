@@ -158,11 +158,6 @@ impl Rtc {
         self.npu_pool.available()
     }
 
-    /// Free blocks in the DRAM pool.
-    pub fn dram_free_blocks(&self) -> usize {
-        self.dram_pool.available()
-    }
-
     /// Whether any NPU-resident cache node is currently evictable (an
     /// unpinned frontier node). When nothing is evictable, the background
     /// swapper is a guaranteed no-op regardless of the free-block

@@ -285,11 +285,6 @@ impl RadixTree {
         n.location = location;
     }
 
-    /// Whether a node is currently pinned.
-    pub fn is_locked(&self, id: NodeId) -> bool {
-        self.node(id).locks > 0
-    }
-
     /// Unpinned *frontier* nodes of `tier` in LRU order — the eviction
     /// candidates. A node is on the tier's frontier when it lives in the
     /// tier and none of its children do. Evicting deepest-first keeps
@@ -386,15 +381,6 @@ impl RadixTree {
         self.free_slots.push(id.0);
         self.node_count -= 1;
         (block, location)
-    }
-
-    /// Count of nodes resident in the given tier.
-    pub fn count_in(&self, tier: Location) -> usize {
-        self.nodes
-            .iter()
-            .flatten()
-            .filter(|n| n.location == tier)
-            .count()
     }
 }
 

@@ -90,11 +90,6 @@ impl Parallelism {
         };
         per_token / tp_split / self.pp as u64
     }
-
-    /// Layers hosted by one PP stage.
-    pub fn layers_per_stage(&self, model: &ModelSpec) -> u32 {
-        model.num_layers / self.pp
-    }
 }
 
 /// Standard production configuration for a model on a given chip: picks the

@@ -189,14 +189,6 @@ impl ClusterSpec {
         }
     }
 
-    /// A Gen1 cluster (older chips, same fabric tiers).
-    pub fn gen1_cluster(num_servers: usize) -> Self {
-        ClusterSpec {
-            server: ServerSpec::standard(ChipSpec::gen1()),
-            ..Self::gen2_cluster(num_servers)
-        }
-    }
-
     /// A SuperPod-style cluster: one large HCCS domain spanning
     /// `num_servers` machines.
     pub fn superpod(num_servers: usize) -> Self {
@@ -204,11 +196,6 @@ impl ClusterSpec {
         c.hccs_domain_servers = num_servers.max(1);
         c.server.chip.generation = Generation::Gen3SuperPod;
         c
-    }
-
-    /// Total NPU count.
-    pub fn total_npus(&self) -> usize {
-        self.num_servers * self.server.chips_per_server
     }
 }
 
@@ -304,7 +291,6 @@ mod tests {
         assert!(c.contains(NpuId::new(1, 7)));
         assert!(!c.contains(NpuId::new(2, 0)));
         assert!(!c.contains(NpuId::new(0, 8)));
-        assert_eq!(c.total_npus(), 16);
     }
 
     #[test]

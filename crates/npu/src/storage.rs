@@ -271,21 +271,9 @@ impl ServerStore {
         }
     }
 
-    /// DRAM bytes of `range` currently resident (no mutation).
-    pub fn dram_resident(&self, file: FileId, range: ByteRange) -> u64 {
-        self.dram.resident_bytes(file, range)
-    }
-
     /// Whether the SSD holds `file`.
     pub fn ssd_holds(&self, file: FileId) -> bool {
         self.ssd.contains(file)
-    }
-
-    /// Pre-stages `range` of `file` into DRAM without charging time
-    /// (warm-pool priming in tests and benches).
-    pub fn prime_dram(&mut self, file: FileId, range: ByteRange, file_size: u64) {
-        self.ssd.admit(file, file_size);
-        self.dram.preload(file, range);
     }
 
     /// Pre-stages `file` onto the SSD only.
@@ -373,7 +361,6 @@ mod tests {
         assert!(!s.ssd_holds(FileId(2)));
         assert!(s.ssd_holds(FileId(3)));
         assert_eq!(s.locate(FileId(2), r), Tier::Remote);
-        assert_eq!(s.dram_resident(FileId(2), r), 0, "coherent with SSD");
     }
 
     #[test]

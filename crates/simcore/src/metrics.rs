@@ -234,25 +234,6 @@ impl TimeSeries {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Time-weighted average of a step function defined by the points, over
-    /// the span from the first point to `end`. Returns `None` if empty.
-    pub fn time_weighted_mean(&self, end: SimTime) -> Option<f64> {
-        let first = self.points.first()?.0;
-        if end <= first {
-            return Some(self.points[0].1);
-        }
-        let total = end.since(first).as_nanos() as f64;
-        let mut acc = 0.0;
-        for (i, &(t, v)) in self.points.iter().enumerate() {
-            let next_t = self.points.get(i + 1).map_or(end, |&(nt, _)| nt.max_of(t));
-            let next_t = if next_t > end { end } else { next_t };
-            if next_t > t {
-                acc += v * next_t.since(t).as_nanos() as f64;
-            }
-        }
-        Some(acc / total)
-    }
 }
 
 /// Per-request serving latency metrics, in the units the paper reports.
@@ -695,16 +676,6 @@ mod tests {
         assert_eq!(s.fraction_le(25.0), Some(0.5));
         assert_eq!(s.fraction_le(5.0), Some(0.0));
         assert_eq!(s.fraction_le(100.0), Some(1.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_of_step_function() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::ZERO, 0.0);
-        ts.record(SimTime::from_secs(1), 10.0);
-        // 1s at 0.0, 1s at 10.0 => mean 5.0 over [0, 2s].
-        let m = ts.time_weighted_mean(SimTime::from_secs(2)).unwrap();
-        assert!((m - 5.0).abs() < 1e-9, "{m}");
     }
 
     #[test]

@@ -165,13 +165,6 @@ impl SharedLink {
         id
     }
 
-    /// Cancels a flow (e.g. the transfer's initiator died). No-op if the
-    /// flow already completed.
-    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) {
-        self.drain_to(now);
-        self.flows.remove(&id);
-    }
-
     /// The earliest time any active flow completes, given current sharing.
     /// `None` if the link is idle.
     pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
@@ -307,20 +300,6 @@ mod tests {
         assert!((next_b.as_secs_f64() - 2.0).abs() < 1e-6, "{next_b}");
         assert_eq!(link.advance_to(next_b), vec![b]);
         assert_eq!(link.active_flows(), 0);
-    }
-
-    #[test]
-    fn cancel_restores_capacity() {
-        let mut link = SharedLink::new(1e9, SimDuration::ZERO);
-        let t0 = SimTime::ZERO;
-        let a = link.start_flow(t0, GB);
-        let b = link.start_flow(t0, GB);
-        link.cancel_flow(SimTime::from_millis(1), b);
-        assert_eq!(link.active_flows(), 1);
-        let done = link.next_completion(SimTime::from_millis(1)).unwrap();
-        // ~1ms shared (negligible progress at half rate) then full rate.
-        assert!(done < SimTime::from_millis(1100), "{done}");
-        assert_eq!(link.advance_to(done), vec![a]);
     }
 
     #[test]

@@ -158,30 +158,6 @@ impl EventRecord {
     pub fn attr_u64(&self, key: &str) -> Option<u64> {
         attr_u64(&self.attrs, key)
     }
-
-    /// Looks up a float attribute by key (integers coerce).
-    pub fn attr_f64(&self, key: &str) -> Option<f64> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .and_then(|(_, v)| match v {
-                AttrValue::F64(x) => Some(*x),
-                AttrValue::U64(n) => Some(*n as f64),
-                AttrValue::I64(n) => Some(*n as f64),
-                AttrValue::Str(_) => None,
-            })
-    }
-
-    /// Looks up a string attribute by key.
-    pub fn attr_str(&self, key: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .and_then(|(_, v)| match v {
-                AttrValue::Str(s) => Some(s.as_str()),
-                _ => None,
-            })
-    }
 }
 
 fn attr_u64(attrs: &Attrs, key: &str) -> Option<u64> {
@@ -315,16 +291,6 @@ impl Tracer {
         // Spans close soon after they open in practice; search from the back.
         if let Some(s) = self.spans.iter_mut().rev().find(|s| s.id == id) {
             s.end = Some(at);
-        }
-    }
-
-    /// Appends attributes to an open (still-buffered) span.
-    pub fn span_attrs(&mut self, id: SpanId, attrs: Attrs) {
-        if !self.enabled || !id.is_some() {
-            return;
-        }
-        if let Some(s) = self.spans.iter_mut().rev().find(|s| s.id == id) {
-            s.attrs.extend(attrs);
         }
     }
 

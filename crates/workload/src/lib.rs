@@ -47,37 +47,6 @@ pub fn poisson_arrivals(rng: &mut SimRng, start: SimTime, rps: f64, count: usize
     out
 }
 
-/// Markov-modulated Poisson process with two phases (calm/burst), for
-/// "LLM serving is highly variable" (§3, Challenge 3).
-pub fn mmpp_arrivals(
-    rng: &mut SimRng,
-    start: SimTime,
-    calm_rps: f64,
-    burst_rps: f64,
-    mean_phase_secs: f64,
-    count: usize,
-) -> Vec<SimTime> {
-    assert!(calm_rps > 0.0 && burst_rps > 0.0 && mean_phase_secs > 0.0);
-    let mut out = Vec::with_capacity(count);
-    let mut t = start;
-    let mut in_burst = false;
-    let mut phase_left = rng.exp(1.0 / mean_phase_secs);
-    while out.len() < count {
-        let rate = if in_burst { burst_rps } else { calm_rps };
-        let gap = rng.exp(rate);
-        if gap > phase_left {
-            t += simcore::SimDuration::from_secs_f64(phase_left);
-            in_burst = !in_burst;
-            phase_left = rng.exp(1.0 / mean_phase_secs);
-            continue;
-        }
-        phase_left -= gap;
-        t += simcore::SimDuration::from_secs_f64(gap);
-        out.push(t);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,21 +70,5 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
         assert!(a[0] >= SimTime::from_secs(5));
         assert_eq!(a, gen(7));
-    }
-
-    #[test]
-    fn mmpp_is_burstier_than_poisson() {
-        // Compare squared-CV of inter-arrival gaps; MMPP must exceed the
-        // Poisson value of ~1.
-        let mut rng = SimRng::seed_from_u64(3);
-        let arr = mmpp_arrivals(&mut rng, SimTime::ZERO, 1.0, 50.0, 5.0, 20_000);
-        let gaps: Vec<f64> = arr
-            .windows(2)
-            .map(|w| w[1].since(w[0]).as_secs_f64())
-            .collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
-        let cv2 = var / (mean * mean);
-        assert!(cv2 > 1.5, "MMPP cv^2 {cv2} should exceed Poisson's 1.0");
     }
 }
