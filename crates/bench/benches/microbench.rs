@@ -87,6 +87,32 @@ fn bench_radix_tree(c: &mut Criterion) {
             black_box(m.tokens)
         })
     });
+    // Eviction under a full HBM pool: 320 cached 64-block prompts (20,480
+    // nodes) fill it exactly, so every one-block allocation evicts the LRU
+    // frontier node (no DRAM: it is dropped). Caching a fresh one-block
+    // prompt in the freed block refills the pool and keeps the tree size.
+    let mut full = Rtc::new(RtcConfig {
+        block_size: 16,
+        npu_blocks: 320 * 64,
+        dram_blocks: 0,
+    });
+    for i in 0..320 {
+        let blocks = full.alloc_blocks(64).expect("sized for it");
+        full.insert_prefix(SimTime::ZERO, &synthetic_tokens(i, 1024, 64_000), &blocks);
+        full.free(&blocks);
+    }
+    assert_eq!(full.npu_free_blocks(), 0);
+    c.bench_function("rtc/alloc_under_pressure", |b| {
+        let mut i: u32 = 0;
+        b.iter(|| {
+            i += 1;
+            let blocks = full.alloc_blocks(1).expect("a victim is always unpinned");
+            let prompt: Vec<flowserve::TokenId> =
+                (0..16).map(|k| flowserve::TokenId(i * 16 + k)).collect();
+            full.insert_prefix(SimTime::from_nanos(i as u64), &prompt, &blocks);
+            full.free(&blocks);
+        })
+    });
 }
 
 fn bench_tokenizer(c: &mut Criterion) {

@@ -161,9 +161,11 @@ impl Rtc {
     /// Whether any NPU-resident cache node is currently evictable (an
     /// unpinned frontier node). When nothing is evictable, the background
     /// swapper is a guaranteed no-op regardless of the free-block
-    /// watermark — the engine's fast-forward gate relies on this.
+    /// watermark — the engine's fast-forward gate relies on this. O(1):
+    /// an emptiness test on the tree's frontier index.
     pub fn npu_evictable(&self) -> bool {
-        !self.tree.evictable(Location::Npu).is_empty()
+        debug_assert!(self.tree.frontier_in_step(), "RTC frontier index drifted");
+        self.tree.has_evictable(Location::Npu)
     }
 
     /// Accumulated hit/miss/eviction counters.
@@ -374,37 +376,41 @@ impl Rtc {
         self.alloc_npu_with_eviction()
     }
 
+    /// Allocates one HBM block, evicting LRU cache nodes until one frees
+    /// up.
     fn alloc_npu_with_eviction(&mut self) -> Result<BlockId, OutOfBlocks> {
-        if let Ok(b) = self.npu_pool.alloc() {
-            return Ok(b);
-        }
-        // Evict LRU unpinned frontier nodes until one block frees up. Each
-        // victim is demoted to DRAM if the DRAM pool has room, else its
-        // subtree is dropped.
         loop {
-            let victims = self.tree.evictable(Location::Npu);
-            let mut progressed = false;
-            for &victim in &victims {
-                if self.evict_node(victim) {
-                    progressed = true;
-                    break;
-                }
+            if let Ok(b) = self.npu_pool.alloc() {
+                return Ok(b);
             }
-            if !progressed {
+            if !self.evict_lru_npu() {
                 return Err(OutOfBlocks {
                     requested: 1,
                     available: 0,
                 });
             }
-            if let Ok(b) = self.npu_pool.alloc() {
-                return Ok(b);
-            }
         }
+    }
+
+    /// Evicts the least-recently-used NPU frontier node that can free HBM
+    /// (see [`Rtc::evict_node`]), walking the tree's frontier index from
+    /// its head past victims that cannot. Returns false when none can.
+    fn evict_lru_npu(&mut self) -> bool {
+        debug_assert!(self.tree.frontier_in_step(), "RTC frontier index drifted");
+        let mut victim = self.tree.next_evictable(Location::Npu, None);
+        while let Some(v) = victim {
+            if self.evict_node(v) {
+                return true;
+            }
+            // A failed eviction changed nothing, so `v` is still indexed.
+            victim = self.tree.next_evictable(Location::Npu, Some(v));
+        }
+        false
     }
 
     /// Demotes one NPU-resident cache node: to DRAM if space allows
     /// (logical `Copy` + free), otherwise discards its subtree. Returns
-    /// whether any HBM was actually freed.
+    /// whether any HBM was actually freed; on false nothing changed.
     fn evict_node(&mut self, node: NodeId) -> bool {
         let (block, loc) = self.tree.block_of(node);
         debug_assert_eq!(loc, Location::Npu);
@@ -454,15 +460,12 @@ impl Rtc {
 
     /// `Copy`: explicitly demotes the LRU end of the NPU cache until at
     /// least `target_free` HBM blocks are free (background swapper duty,
-    /// run off the critical path). Returns tokens moved to DRAM.
+    /// run off the critical path), or until no cache node can free HBM.
+    /// Returns tokens moved to DRAM: one block per evicted node, whether it
+    /// was demoted or dropped with its subtree.
     pub fn copy_to_dram(&mut self, target_free: usize) -> usize {
         let mut moved_tokens = 0;
-        while self.npu_pool.available() < target_free {
-            let victims = self.tree.evictable(Location::Npu);
-            let Some(&victim) = victims.first() else {
-                break;
-            };
-            self.evict_node(victim);
+        while self.npu_pool.available() < target_free && self.evict_lru_npu() {
             moved_tokens += self.cfg.block_size;
         }
         moved_tokens
@@ -677,6 +680,46 @@ mod tests {
         // Content is preserved in DRAM.
         let m = rtc.match_by_prefix_token(&a);
         assert_eq!(m.tokens, 64);
+    }
+
+    /// DRAM is full and the LRU NPU victim's only child is the source of
+    /// an in-flight populate (pinned): the swapper must skip that victim,
+    /// not retry it forever.
+    #[test]
+    fn copy_to_dram_skips_victim_with_pinned_dram_descendant() {
+        let mut rtc = Rtc::new(cfg(4, 2));
+        let a = toks(1, 64);
+        prefill_and_cache(&mut rtc, SimTime::ZERO, &a);
+        assert_eq!(rtc.copy_to_dram(2), 32, "tail two blocks fill DRAM");
+        let m = rtc.match_by_prefix_token(&a);
+        assert_eq!(m.npu_prefix_nodes, 2);
+        let plan = rtc.populate(SimTime::from_secs(1), &m).unwrap();
+        // The populate took both free HBM blocks and pinned the DRAM tail:
+        // the only NPU victim is the second block, above a pinned DRAM one.
+        assert_eq!(rtc.npu_free_blocks(), 0);
+        assert_eq!(rtc.copy_to_dram(1), 0, "nothing can free HBM");
+        rtc.complete_populate(plan.ticket);
+        assert_eq!(rtc.match_by_prefix_token(&a).npu_prefix_nodes, 4);
+    }
+
+    /// Same pinned victim at the LRU head, with a newer cached prompt
+    /// behind it: the swapper passes over the head and drops the newer one.
+    #[test]
+    fn copy_to_dram_evicts_past_an_unfreeable_head() {
+        let mut rtc = Rtc::new(cfg(6, 2));
+        let a = toks(1, 64);
+        prefill_and_cache(&mut rtc, SimTime::ZERO, &a);
+        assert_eq!(rtc.copy_to_dram(4), 32);
+        let b = toks(2, 16);
+        prefill_and_cache(&mut rtc, SimTime::from_secs(1), &b);
+        let m = rtc.match_by_prefix_token(&a);
+        let plan = rtc.populate(SimTime::from_secs(2), &m).unwrap();
+        assert_eq!(rtc.npu_free_blocks(), 1);
+        assert_eq!(rtc.copy_to_dram(2), 16);
+        assert_eq!(rtc.counters().get("rtc.evict_drop"), 1);
+        assert_eq!(rtc.match_by_prefix_token(&b).tokens, 0, "b was dropped");
+        assert_eq!(rtc.copy_to_dram(3), 0, "only the pinned head is left");
+        rtc.complete_populate(plan.ticket);
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //! trick vLLM's hash-based prefix cache uses, arranged as an explicit tree
 //! so subtree operations (eviction, sharing, the JE's global prompt tree)
 //! stay natural. Collisions are 2^-64-scale and ignored by design.
+//!
+//! Eviction candidates are kept as an index rather than searched for:
+//! each tier's *frontier* (unpinned nodes with no child in their own
+//! tier) lives in a `BTreeSet` ordered by `(last_access, NodeId)`, updated
+//! by every mutation, so the LRU victim is the set's head.
 
 use crate::block::BlockId;
 use crate::tokenizer::TokenId;
 use simcore::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 /// Node handle within one tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,16 +52,30 @@ fn chain_hash(prev: u64, block_tokens: &[TokenId]) -> u64 {
 struct Node {
     parent: Option<NodeId>,
     /// Child edges keyed by chained block hash. A `BTreeMap`: subtree
-    /// removal and frontier scans iterate it, and the freed-block order
-    /// feeds the allocator (and through it, reports).
+    /// removal iterates it, and the freed-block order feeds the allocator
+    /// (and through it, reports).
     children: BTreeMap<u64, NodeId>,
     block: BlockId,
     location: Location,
+    /// How many of `children` live in HBM; the rest live in DRAM.
+    npu_kids: u32,
     /// Chained hash of the prefix ending at this node.
     hash: u64,
     last_access: SimTime,
     /// In-flight requests currently pinning this node.
     locks: u32,
+}
+
+impl Node {
+    /// Whether the node is an eviction candidate of its own tier: unpinned,
+    /// with no child in that tier.
+    fn on_frontier(&self) -> bool {
+        self.locks == 0
+            && match self.location {
+                Location::Npu => self.npu_kids == 0,
+                Location::Dram => self.npu_kids as usize == self.children.len(),
+            }
+    }
 }
 
 /// Result of a prefix walk.
@@ -91,6 +111,9 @@ pub struct RadixTree {
     free_slots: Vec<u32>,
     roots: BTreeMap<u64, NodeId>,
     node_count: usize,
+    /// Per tier (indexed by `Location as usize`), the frontier nodes keyed
+    /// `(last_access, id)`: victim order is the set's order.
+    frontier: [BTreeSet<(SimTime, NodeId)>; 2],
 }
 
 impl RadixTree {
@@ -107,6 +130,7 @@ impl RadixTree {
             free_slots: Vec::new(),
             roots: BTreeMap::new(),
             node_count: 0,
+            frontier: [BTreeSet::new(), BTreeSet::new()],
         }
     }
 
@@ -128,7 +152,7 @@ impl RadixTree {
     fn node(&self, id: NodeId) -> &Node {
         self.nodes[id.0 as usize]
             .as_ref()
-            // detlint: allow(panic) — arena invariant: NodeIds only flow through children/roots maps, which are pruned in the same operation that vacates a slot; a stale id is a tree-corruption bug worth failing loudly on
+            // detlint: allow(panic) — arena invariant: NodeIds only flow through the children/roots maps and the frontier index, all pruned in the same operation that vacates a slot; a stale id is a tree-corruption bug worth failing loudly on
             .expect("stale NodeId: node was removed")
     }
 
@@ -137,6 +161,35 @@ impl RadixTree {
             .as_mut()
             // detlint: allow(panic) — arena invariant: see `node` above
             .expect("stale NodeId: node was removed")
+    }
+
+    /// The node's frontier-index entry, if it is on its tier's frontier.
+    fn frontier_key(&self, id: NodeId) -> Option<(Location, (SimTime, NodeId))> {
+        let n = self.node(id);
+        n.on_frontier().then_some((n.location, (n.last_access, id)))
+    }
+
+    /// Takes `id` out of the frontier index. Call before changing anything
+    /// its entry depends on; [`RadixTree::enter`] re-adds it afterwards.
+    fn leave(&mut self, id: NodeId) {
+        if let Some((tier, key)) = self.frontier_key(id) {
+            let removed = self.frontier[tier as usize].remove(&key);
+            debug_assert!(removed, "frontier index lost {id:?}");
+        }
+    }
+
+    /// Re-adds `id` to the frontier index if it is on its tier's frontier.
+    fn enter(&mut self, id: NodeId) {
+        if let Some((tier, key)) = self.frontier_key(id) {
+            self.frontier[tier as usize].insert(key);
+        }
+    }
+
+    /// Applies `f` to node `id`, keeping its frontier entry in step.
+    fn modify(&mut self, id: NodeId, f: impl FnOnce(&mut Node)) {
+        self.leave(id);
+        f(self.node_mut(id));
+        self.enter(id);
     }
 
     /// Walks the longest cached prefix of `tokens` (full blocks only).
@@ -192,6 +245,10 @@ impl RadixTree {
         let mut redundant = Vec::new();
         let mut hash = 0u64;
         let mut parent: Option<NodeId> = None;
+        // The last node this call created. New nodes stay out of the
+        // frontier index until the chain ends: all but the last get a child
+        // in the next step.
+        let mut new_tail: Option<NodeId> = None;
         for (i, block_tokens) in tokens.chunks_exact(self.block_size).enumerate() {
             hash = chain_hash(hash, block_tokens);
             let existing = match parent {
@@ -200,7 +257,7 @@ impl RadixTree {
             };
             let id = match existing {
                 Some(id) => {
-                    self.node_mut(id).last_access = now;
+                    self.modify(id, |n| n.last_access = now);
                     redundant.push(blocks[i]);
                     id
                 }
@@ -210,23 +267,31 @@ impl RadixTree {
                         children: BTreeMap::new(),
                         block: blocks[i],
                         location: Location::Npu,
+                        npu_kids: 0,
                         hash,
                         last_access: now,
                         locks: 0,
                     });
+                    let link = |n: &mut Node| {
+                        n.children.insert(hash, id);
+                        n.npu_kids += 1;
+                    };
                     match parent {
-                        Some(p) => {
-                            self.node_mut(p).children.insert(hash, id);
-                        }
+                        Some(p) if new_tail == Some(p) => link(self.node_mut(p)),
+                        Some(p) => self.modify(p, link),
                         None => {
                             self.roots.insert(hash, id);
                         }
                     }
+                    new_tail = Some(id);
                     id
                 }
             };
             chain.push(id);
             parent = Some(id);
+        }
+        if let Some(leaf) = new_tail {
+            self.enter(leaf);
         }
         (chain, redundant)
     }
@@ -248,7 +313,7 @@ impl RadixTree {
     /// Pins nodes against eviction (an in-flight request uses them).
     pub fn lock(&mut self, nodes: &[NodeId]) {
         for &id in nodes {
-            self.node_mut(id).locks += 1;
+            self.modify(id, |n| n.locks += 1);
         }
     }
 
@@ -259,16 +324,17 @@ impl RadixTree {
     /// Panics if a node was not locked.
     pub fn unlock(&mut self, nodes: &[NodeId]) {
         for &id in nodes {
-            let n = self.node_mut(id);
-            assert!(n.locks > 0, "unlock of unlocked node {id:?}");
-            n.locks -= 1;
+            self.modify(id, |n| {
+                assert!(n.locks > 0, "unlock of unlocked node {id:?}");
+                n.locks -= 1;
+            });
         }
     }
 
     /// Updates access time (hit bookkeeping).
     pub fn touch(&mut self, now: SimTime, nodes: &[NodeId]) {
         for &id in nodes {
-            self.node_mut(id).last_access = now;
+            self.modify(id, |n| n.last_access = now);
         }
     }
 
@@ -280,32 +346,74 @@ impl RadixTree {
 
     /// Rebinds a node to a new block in a new tier (after swap/populate).
     pub fn relocate(&mut self, id: NodeId, block: BlockId, location: Location) {
-        let n = self.node_mut(id);
-        n.block = block;
-        n.location = location;
+        let (was, parent) = {
+            let n = self.node(id);
+            (n.location, n.parent)
+        };
+        self.modify(id, |n| {
+            n.block = block;
+            n.location = location;
+        });
+        if was != location {
+            if let Some(p) = parent {
+                self.modify(p, |n| match location {
+                    Location::Npu => n.npu_kids += 1,
+                    Location::Dram => n.npu_kids -= 1,
+                });
+            }
+        }
     }
 
-    /// Unpinned *frontier* nodes of `tier` in LRU order — the eviction
-    /// candidates. A node is on the tier's frontier when it lives in the
-    /// tier and none of its children do. Evicting deepest-first keeps
-    /// residency in each tier a contiguous prefix of every cached chain
-    /// (NPU above DRAM), which is what makes populate a pure "extend the
-    /// usable prefix" operation.
-    pub fn evictable(&self, tier: Location) -> Vec<NodeId> {
-        let mut frontier: Vec<(SimTime, NodeId)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|n| (i, n)))
-            .filter(|(_, n)| {
-                n.locks == 0
-                    && n.location == tier
-                    && n.children.values().all(|&c| self.node(c).location != tier)
-            })
-            .map(|(i, n)| (n.last_access, NodeId(i as u32)))
-            .collect();
-        frontier.sort_unstable();
-        frontier.into_iter().map(|(_, id)| id).collect()
+    /// Whether `tier` has an eviction candidate. O(1).
+    pub fn has_evictable(&self, tier: Location) -> bool {
+        !self.frontier[tier as usize].is_empty()
+    }
+
+    /// The next eviction candidate of `tier` in victim order: the head when
+    /// `after` is `None`, else the candidate following `after` (which must
+    /// still be one), so a caller can skip a victim it could not evict.
+    ///
+    /// Candidates are the unpinned *frontier* nodes of the tier: nodes that
+    /// live in the tier while none of their children do, least recently
+    /// used first (ties by `NodeId`). Evicting deepest-first keeps residency
+    /// in each tier a contiguous prefix of every cached chain (NPU above
+    /// DRAM), which is what makes populate a pure "extend the usable
+    /// prefix" operation. O(log n).
+    pub fn next_evictable(&self, tier: Location, after: Option<NodeId>) -> Option<NodeId> {
+        let set = &self.frontier[tier as usize];
+        let next = match after {
+            None => set.first(),
+            Some(a) => {
+                let key = (self.node(a).last_access, a);
+                set.range((Bound::Excluded(key), Bound::Unbounded)).next()
+            }
+        };
+        next.map(|&(_, id)| id)
+    }
+
+    /// Drift guard: whether each tier's index holds exactly the nodes the
+    /// frontier definition admits, each under its current key (a
+    /// `BTreeSet` orders them, so victim order follows). Visits every
+    /// node, so only debug assertions and tests call it.
+    pub(crate) fn frontier_in_step(&self) -> bool {
+        let mut admitted = [0usize; 2];
+        let members_match = self.nodes.iter().enumerate().all(|(i, slot)| {
+            let Some(n) = slot else {
+                return true;
+            };
+            let tier = n.location as usize;
+            let on = n.locks == 0
+                && n.children
+                    .values()
+                    .all(|&c| self.node(c).location != n.location);
+            admitted[tier] += usize::from(on);
+            on == self.frontier[tier].contains(&(n.last_access, NodeId(i as u32)))
+        });
+        members_match
+            && admitted
+                .iter()
+                .zip(&self.frontier)
+                .all(|(&count, set)| count == set.len())
     }
 
     /// Removes `id` and its entire subtree, returning every freed
@@ -330,21 +438,15 @@ impl RadixTree {
             stack.extend(kids);
         }
         // Detach the subtree root from its parent.
-        let (parent, hash) = {
+        let (parent, hash, location) = {
             let n = self.node(id);
-            (n.parent, n.hash)
+            (n.parent, n.hash, n.location)
         };
-        match parent {
-            Some(p) => {
-                self.node_mut(p).children.remove(&hash);
-            }
-            None => {
-                self.roots.remove(&hash);
-            }
-        }
+        self.detach(parent, hash, location);
         // Release every node.
         let mut freed = Vec::with_capacity(subtree.len());
         for n in subtree {
+            self.leave(n);
             let Some(node) = self.nodes[n.0 as usize].take() else {
                 debug_assert!(false, "subtree nodes must be live");
                 continue;
@@ -354,6 +456,22 @@ impl RadixTree {
             self.node_count -= 1;
         }
         Some(freed)
+    }
+
+    /// Unlinks the child keyed `hash`, living in `location`, from `parent`
+    /// (or from the roots).
+    fn detach(&mut self, parent: Option<NodeId>, hash: u64, location: Location) {
+        match parent {
+            Some(p) => self.modify(p, |n| {
+                n.children.remove(&hash);
+                if location == Location::Npu {
+                    n.npu_kids -= 1;
+                }
+            }),
+            None => {
+                self.roots.remove(&hash);
+            }
+        }
     }
 
     /// Removes a leaf node, returning its block and tier so the caller can
@@ -369,14 +487,8 @@ impl RadixTree {
             assert_eq!(n.locks, 0, "remove_leaf on locked node");
             (n.parent, n.hash, n.block, n.location)
         };
-        match parent {
-            Some(p) => {
-                self.node_mut(p).children.remove(&hash);
-            }
-            None => {
-                self.roots.remove(&hash);
-            }
-        }
+        self.leave(id);
+        self.detach(parent, hash, location);
         self.nodes[id.0 as usize] = None;
         self.free_slots.push(id.0);
         self.node_count -= 1;
@@ -388,6 +500,8 @@ impl RadixTree {
 mod tests {
     use super::*;
     use crate::tokenizer::synthetic_tokens;
+    use proptest::prelude::*;
+    use simcore::SimDuration;
 
     const B: usize = 16;
 
@@ -397,6 +511,41 @@ mod tests {
 
     fn blocks(start: u32, n: usize) -> Vec<BlockId> {
         (start..start + n as u32).map(BlockId).collect()
+    }
+
+    /// The oracle: the frontier of `tier` found by visiting every node and
+    /// sorting, the way eviction found its victims before the index.
+    fn scan_frontier(t: &RadixTree, tier: Location) -> Vec<(SimTime, NodeId)> {
+        let mut frontier: Vec<(SimTime, NodeId)> = t
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|n| (i, n)))
+            .filter(|(_, n)| {
+                n.locks == 0
+                    && n.location == tier
+                    && n.children.values().all(|&c| t.node(c).location != tier)
+            })
+            .map(|(i, n)| (n.last_access, NodeId(i as u32)))
+            .collect();
+        frontier.sort_unstable();
+        frontier
+    }
+
+    /// The eviction candidates of `tier` in victim order, walked through
+    /// the index and checked against the oracle and the drift guard.
+    fn evictable(t: &RadixTree, tier: Location) -> Vec<NodeId> {
+        assert!(t.frontier_in_step(), "frontier index drifted");
+        let walked: Vec<NodeId> = std::iter::successors(t.next_evictable(tier, None), |&id| {
+            t.next_evictable(tier, Some(id))
+        })
+        .collect();
+        let scanned: Vec<NodeId> = scan_frontier(t, tier)
+            .into_iter()
+            .map(|(_, id)| id)
+            .collect();
+        assert_eq!(walked, scanned);
+        walked
     }
 
     #[test]
@@ -468,17 +617,17 @@ mod tests {
         let a = toks(1, 48); // 3 chained blocks
         let (chain, _) = t.insert(SimTime::from_secs(1), &a, &blocks(0, 3));
         // Only the deepest node is a leaf.
-        let ev = t.evictable(Location::Npu);
+        let ev = evictable(&t, Location::Npu);
         assert_eq!(ev, vec![chain[2]]);
         // Lock it: nothing evictable.
         t.lock(&[chain[2]]);
-        assert!(t.evictable(Location::Npu).is_empty());
+        assert!(evictable(&t, Location::Npu).is_empty());
         t.unlock(&[chain[2]]);
         // Remove the leaf; its parent becomes the frontier.
         let (blk, loc) = t.remove_leaf(chain[2]);
         assert_eq!(blk, BlockId(2));
         assert_eq!(loc, Location::Npu);
-        assert_eq!(t.evictable(Location::Npu), vec![chain[1]]);
+        assert_eq!(evictable(&t, Location::Npu), vec![chain[1]]);
         assert_eq!(t.len(), 2);
     }
 
@@ -489,10 +638,10 @@ mod tests {
         let b = toks(2, 16);
         let (ca, _) = t.insert(SimTime::from_secs(1), &a, &blocks(0, 1));
         let (cb, _) = t.insert(SimTime::from_secs(2), &b, &blocks(1, 1));
-        assert_eq!(t.evictable(Location::Npu), vec![ca[0], cb[0]]);
+        assert_eq!(evictable(&t, Location::Npu), vec![ca[0], cb[0]]);
         // Touch `a` later: order flips.
         t.touch(SimTime::from_secs(3), &ca);
-        assert_eq!(t.evictable(Location::Npu), vec![cb[0], ca[0]]);
+        assert_eq!(evictable(&t, Location::Npu), vec![cb[0], ca[0]]);
     }
 
     #[test]
@@ -514,5 +663,127 @@ mod tests {
         let (c2, _) = t.insert(SimTime::ZERO, &b, &blocks(1, 1));
         assert_eq!(c1[0], c2[0], "slot should be recycled");
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn node_fits_in_64_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 64);
+        assert!(std::mem::size_of::<Option<Node>>() <= 64);
+    }
+
+    #[test]
+    fn next_evictable_skips_from_any_candidate() {
+        let mut t = RadixTree::new(B);
+        let ids: Vec<NodeId> = (0..3)
+            .map(|i| {
+                t.insert(SimTime::from_secs(i), &toks(i, B), &blocks(i as u32, 1))
+                    .0[0]
+            })
+            .collect();
+        assert_eq!(t.next_evictable(Location::Npu, Some(ids[0])), Some(ids[1]));
+        assert_eq!(t.next_evictable(Location::Npu, Some(ids[2])), None);
+        assert!(!t.has_evictable(Location::Dram));
+        t.relocate(ids[1], BlockId(9), Location::Dram);
+        assert_eq!(evictable(&t, Location::Npu), vec![ids[0], ids[2]]);
+        assert_eq!(evictable(&t, Location::Dram), vec![ids[1]]);
+    }
+
+    /// Token stream for a path through a three-way branching tree of
+    /// two-token blocks: prompts that agree on a leading run of choices
+    /// share that many nodes.
+    fn path_tokens(choices: &[usize]) -> Vec<TokenId> {
+        choices
+            .iter()
+            .enumerate()
+            .flat_map(|(depth, &c)| [TokenId(depth as u32), TokenId(100 + c as u32)])
+            .collect()
+    }
+
+    fn live_nodes(t: &RadixTree) -> Vec<NodeId> {
+        (0..t.nodes.len() as u32)
+            .map(NodeId)
+            .filter(|id| t.nodes[id.0 as usize].is_some())
+            .collect()
+    }
+
+    proptest! {
+        /// The frontier index against the brute-force scan: random
+        /// sequences of every mutation the tree has (inserts of chains with
+        /// shared prefixes, lock/unlock, touch, relocation both ways, leaf
+        /// and subtree removal) on a tree of two-token blocks. After every
+        /// operation both tiers' index must equal the scan, keys and order
+        /// included, and every node's HBM-child count must be exact.
+        #[test]
+        fn frontier_index_matches_scan(
+            ops in prop::collection::vec((0usize..9, any::<u64>(), 0u64..3), 1..80),
+        ) {
+            let mut t = RadixTree::new(2);
+            let mut held: Vec<Vec<NodeId>> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (step, &(kind, r, dt)) in ops.iter().enumerate() {
+                // Ties in `last_access` are common: `dt` is often zero.
+                now += SimDuration::from_nanos(dt);
+                let choices: Vec<usize> =
+                    (0..1 + r as usize % 5).map(|d| (r >> (8 + 2 * d)) as usize % 3).collect();
+                let tokens = path_tokens(&choices);
+                let live = live_nodes(&t);
+                let pick = (!live.is_empty()).then(|| live[(r >> 40) as usize % live.len()]);
+                match kind {
+                    0 | 1 => {
+                        let bs = blocks(step as u32 * 8, choices.len());
+                        t.insert(now, &tokens, &bs);
+                    }
+                    2 => {
+                        let m = t.match_prefix(&tokens);
+                        t.lock(&m.nodes);
+                        held.push(m.nodes);
+                    }
+                    3 => {
+                        if !held.is_empty() {
+                            let nodes = held.swap_remove(r as usize % held.len());
+                            t.unlock(&nodes);
+                        }
+                    }
+                    4 => {
+                        let m = t.match_prefix(&tokens);
+                        t.touch(now, &m.nodes);
+                    }
+                    5 | 6 => {
+                        if let Some(id) = pick {
+                            let tier = if r & 1 == 0 { Location::Npu } else { Location::Dram };
+                            t.relocate(id, BlockId(1_000 + step as u32), tier);
+                        }
+                    }
+                    7 => {
+                        let leaves: Vec<NodeId> = live
+                            .iter()
+                            .copied()
+                            .filter(|&id| t.node(id).children.is_empty() && t.node(id).locks == 0)
+                            .collect();
+                        if !leaves.is_empty() {
+                            t.remove_leaf(leaves[(r >> 40) as usize % leaves.len()]);
+                        }
+                    }
+                    _ => {
+                        if let Some(id) = pick {
+                            t.try_remove_subtree(id);
+                        }
+                    }
+                }
+                for tier in [Location::Npu, Location::Dram] {
+                    let index: Vec<(SimTime, NodeId)> =
+                        t.frontier[tier as usize].iter().copied().collect();
+                    let scan = scan_frontier(&t, tier);
+                    prop_assert_eq!(index, scan, "step {} kind {} {:?}", step, kind, tier);
+                }
+                prop_assert!(t.frontier_in_step(), "drift guard disagrees at step {}", step);
+                for id in live_nodes(&t) {
+                    let n = t.node(id);
+                    let in_npu = |c: &&NodeId| t.node(**c).location == Location::Npu;
+                    let npu = n.children.values().filter(in_npu).count();
+                    prop_assert_eq!(n.npu_kids as usize, npu, "step {} {:?}", step, id);
+                }
+            }
+        }
     }
 }
