@@ -16,7 +16,11 @@
 //! rates equals the wall-clock speedup. Raw events/sec is reported too,
 //! but note fast-forward *shrinks* the event count by design. Peak RSS
 //! (VmHWM) is recorded per run — the dimension streaming injection exists
-//! to bound.
+//! to bound — next to `rtc_blocks`, the KV blocks the run left cached, so
+//! RSS per cached block can be read off a row. Every run shares one
+//! process, and a row's peak RSS includes heap the allocator kept from
+//! earlier runs: the smoke gate's 256-TE row reads about 106 MB, while
+//! the same run peaks at 61 MB in a fresh process.
 //!
 //! Run: `cargo run --release -p deepserve-bench --bin scale_sweep`
 //! CI:  `cargo run --release -p deepserve-bench --bin scale_sweep -- --smoke`
@@ -46,9 +50,11 @@ use workloads::ScaleTrace;
 /// the trace would defeat the memory bound the configuration measures.
 const MAT_LIMIT: usize = 1 << 18;
 /// RSS ceiling for the smoke gate's large streamed run, in megabytes.
-/// 256 TEs x 65k requests fits comfortably; a regression that makes
-/// memory scale with trace length instead of in-flight load blows it.
-const SMOKE_RSS_BUDGET_MB: f64 = 2048.0;
+/// 256 TEs x 65k requests reads about 106 MB after the earlier runs of the
+/// smoke grid. Sizing the block pools by modelled KV capacity instead of
+/// the blocks in use, or a heap allocation per cached block (the radix
+/// tree's old child maps), each pushes it past this.
+const SMOKE_RSS_BUDGET_MB: f64 = 128.0;
 /// Smoke parity gates: (TEs, least fast-forward / single-step iteration
 /// rate). Fast-forward absorbs little on the 256-TE configuration (every
 /// arrival bounds its windows), so the two strategies cost about the
@@ -100,6 +106,9 @@ struct Row {
     events_per_sec: f64,
     makespan_s: f64,
     completed: usize,
+    /// KV blocks left in the radix trees at the end of the run, summed
+    /// over TEs: blocks inserted minus blocks dropped by eviction.
+    rtc_blocks: u64,
     /// Peak resident set size during the run (VmHWM), megabytes; 0 where
     /// the kernel interface is unavailable.
     peak_rss_mb: f64,
@@ -202,6 +211,10 @@ fn run_one(gc: &GridCfg, mode: &'static str, fast_forward: bool, streamed: bool)
         events_per_sec: events as f64 / wall,
         makespan_s: report.makespan.as_secs_f64(),
         completed: report.latency.completed() as usize,
+        rtc_blocks: report
+            .metrics
+            .counter_value("rtc.inserted_blocks")
+            .saturating_sub(report.metrics.counter_value("rtc.evict_drop")),
         peak_rss_mb: peak_rss_kb().map_or(0.0, |kb| kb as f64 / 1024.0),
         host_cores: host_cores(),
     };
@@ -213,7 +226,7 @@ fn run_one(gc: &GridCfg, mode: &'static str, fast_forward: bool, streamed: bool)
 
 fn print_row(r: &Row) {
     println!(
-        "{:>5} {:>8} {:>6} {:>12} {:>3} {:>10.1} {:>12} {:>12} {:>12.0} {:>8.1} {:>8.1}",
+        "{:>5} {:>8} {:>6} {:>12} {:>3} {:>10.1} {:>12} {:>12} {:>12.0} {:>8.1} {:>9} {:>8.1}",
         r.tes,
         r.requests,
         r.users,
@@ -224,6 +237,7 @@ fn print_row(r: &Row) {
         r.sim_iterations,
         r.iters_per_sec,
         r.makespan_s,
+        r.rtc_blocks,
         r.peak_rss_mb,
     );
 }
@@ -438,7 +452,7 @@ fn main() {
         ]
     };
     println!(
-        "{:>5} {:>8} {:>6} {:>12} {:>3} {:>10} {:>12} {:>12} {:>12} {:>8} {:>8}",
+        "{:>5} {:>8} {:>6} {:>12} {:>3} {:>10} {:>12} {:>12} {:>12} {:>8} {:>9} {:>8}",
         "TEs",
         "reqs",
         "users",
@@ -449,6 +463,7 @@ fn main() {
         "iters",
         "iters/s",
         "sim s",
+        "blocks",
         "rss MB",
     );
     let mut rows = Vec::new();

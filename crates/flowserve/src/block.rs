@@ -38,9 +38,17 @@ impl std::fmt::Display for OutOfBlocks {
 impl std::error::Error for OutOfBlocks {}
 
 /// A fixed-capacity pool of reference-counted blocks.
+///
+/// Host memory follows the blocks a run touches, not the modelled
+/// capacity: `ref_counts` grows when a block is first handed out, so its
+/// length is a watermark and ids from there to `capacity` have never been
+/// used. `alloc` reuses the most recently freed id, else hands out the
+/// watermark id: the same order as a free list of every id in reverse, so
+/// low ids come first (stable, readable traces).
 #[derive(Debug, Clone)]
 pub struct BlockPool {
     capacity: usize,
+    /// Freed ids, reused last-in first-out.
     free: Vec<BlockId>,
     ref_counts: Vec<u32>,
 }
@@ -50,10 +58,8 @@ impl BlockPool {
     pub fn new(capacity: usize) -> Self {
         BlockPool {
             capacity,
-            // Pop from the back; reversed init keeps low ids allocated first
-            // (stable, readable traces).
-            free: (0..capacity as u32).rev().map(BlockId).collect(),
-            ref_counts: vec![0; capacity],
+            free: Vec::new(),
+            ref_counts: Vec::new(),
         }
     }
 
@@ -64,34 +70,37 @@ impl BlockPool {
 
     /// Currently free blocks.
     pub fn available(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.capacity - self.ref_counts.len()
     }
 
     /// Currently allocated blocks.
     pub fn in_use(&self) -> usize {
-        self.capacity - self.free.len()
+        self.ref_counts.len() - self.free.len()
     }
 
     /// Allocates one block with refcount 1.
     pub fn alloc(&mut self) -> Result<BlockId, OutOfBlocks> {
-        match self.free.pop() {
-            Some(id) => {
-                self.ref_counts[id.0 as usize] = 1;
-                Ok(id)
-            }
-            None => Err(OutOfBlocks {
+        if let Some(id) = self.free.pop() {
+            self.ref_counts[id.0 as usize] = 1;
+            return Ok(id);
+        }
+        if self.ref_counts.len() == self.capacity {
+            return Err(OutOfBlocks {
                 requested: 1,
                 available: 0,
-            }),
+            });
         }
+        self.ref_counts.push(1);
+        Ok(BlockId(self.ref_counts.len() as u32 - 1))
     }
 
     /// Allocates `n` blocks atomically: all or nothing.
     pub fn alloc_many(&mut self, n: usize) -> Result<Vec<BlockId>, OutOfBlocks> {
-        if self.free.len() < n {
+        let available = self.available();
+        if available < n {
             return Err(OutOfBlocks {
                 requested: n,
-                available: self.free.len(),
+                available,
             });
         }
         let mut out = Vec::with_capacity(n);
@@ -119,9 +128,8 @@ impl BlockPool {
     /// Panics if the block is free — sharing a freed block is a
     /// use-after-free in disguise.
     pub fn incref(&mut self, id: BlockId) {
-        let rc = &mut self.ref_counts[id.0 as usize];
-        assert!(*rc > 0, "incref on free block {id:?}");
-        *rc += 1;
+        assert!(self.refcount(id) > 0, "incref on free block {id:?}");
+        self.ref_counts[id.0 as usize] += 1;
     }
 
     /// Drops a reference; frees the block when the count hits zero.
@@ -131,8 +139,8 @@ impl BlockPool {
     ///
     /// Panics on double-free.
     pub fn decref(&mut self, id: BlockId) -> bool {
+        assert!(self.refcount(id) > 0, "decref on free block {id:?}");
         let rc = &mut self.ref_counts[id.0 as usize];
-        assert!(*rc > 0, "decref on free block {id:?}");
         *rc -= 1;
         if *rc == 0 {
             self.free.push(id);
@@ -142,9 +150,9 @@ impl BlockPool {
         }
     }
 
-    /// Current reference count of a block.
+    /// Current reference count of a block (0 if free).
     pub fn refcount(&self, id: BlockId) -> u32 {
-        self.ref_counts[id.0 as usize]
+        self.ref_counts.get(id.0 as usize).copied().unwrap_or(0)
     }
 }
 

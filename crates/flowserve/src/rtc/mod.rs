@@ -45,7 +45,7 @@ pub enum PopulateStatus {
     InFlight,
     /// Data is NPU-resident.
     Done,
-    /// Ticket unknown (never issued, or long since retired).
+    /// Ticket never issued.
     Unknown,
 }
 
@@ -110,8 +110,9 @@ pub struct Rtc {
     npu_pool: BlockPool,
     dram_pool: BlockPool,
     id_index: HashMap<CacheId, IdEntry>,
+    /// In-flight populates. Tickets are issued in sequence, so every ticket
+    /// below `next_ticket` that is not in flight has completed.
     populates: HashMap<PopulateTicket, InFlightPopulate>,
-    retired_populates: HashMap<PopulateTicket, ()>,
     next_ticket: u64,
     counters: Counters,
     tracer: Tracer,
@@ -130,7 +131,6 @@ impl Rtc {
             cfg,
             id_index: HashMap::new(),
             populates: HashMap::new(),
-            retired_populates: HashMap::new(),
             next_ticket: 0,
             counters: Counters::new(),
             tracer: Tracer::disabled(),
@@ -306,7 +306,7 @@ impl Rtc {
     pub fn query_populate(&self, ticket: PopulateTicket) -> PopulateStatus {
         if self.populates.contains_key(&ticket) {
             PopulateStatus::InFlight
-        } else if self.retired_populates.contains_key(&ticket) {
+        } else if ticket.0 < self.next_ticket {
             PopulateStatus::Done
         } else {
             PopulateStatus::Unknown
@@ -339,7 +339,6 @@ impl Rtc {
                 ],
             );
         }
-        self.retired_populates.insert(ticket, ());
     }
 
     // ---- Block allocation (per-request private blocks) ----
@@ -512,7 +511,7 @@ impl Rtc {
 
     /// Implicit caching: registers a finished request's full prompt blocks
     /// in the prefix tree. The tree takes its own reference on newly
-    /// inserted blocks; blocks already cached are reported back untouched.
+    /// inserted blocks; blocks already cached are left to the caller.
     /// Returns the node chain (for explicit-ID registration).
     pub fn insert_prefix(
         &mut self,
@@ -522,16 +521,13 @@ impl Rtc {
     ) -> Vec<NodeId> {
         self.clock_hint = self.clock_hint.max(now);
         let full = tokens.len() / self.cfg.block_size;
-        let (chain, redundant) = self.tree.insert(now, tokens, &blocks[..full]);
-        // One tree reference per *newly inserted* block: every supplied
-        // block that is not in `redundant` got a node.
-        let redundant_set: std::collections::HashSet<BlockId> = redundant.into_iter().collect();
-        for b in &blocks[..full] {
-            if !redundant_set.contains(b) {
-                self.npu_pool.incref(*b);
-            }
+        let (chain, reused) = self.tree.insert(now, tokens, &blocks[..full]);
+        // One tree reference per *newly inserted* block: the cached nodes
+        // are a leading run, so every block after it got a node.
+        for &b in &blocks[reused..full] {
+            self.npu_pool.incref(b);
         }
-        let new_blocks = full - redundant_set.len();
+        let new_blocks = full - reused;
         self.counters.add("rtc.inserted_blocks", new_blocks as u64);
         if self.tracer.is_enabled() {
             self.tracer.event(

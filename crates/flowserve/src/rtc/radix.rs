@@ -5,13 +5,20 @@
 //! either in the NPU or in local DRAM" (§4.3). This is the radix half.
 //!
 //! The tree is quantized to KV blocks: each node covers exactly one full
-//! block of tokens, children are keyed by the *chained content hash* of the
-//! next block, and only complete blocks are cached (partial tails are
-//! per-request private state). A chained 64-bit hash identifies each prefix,
-//! so walking a query is one hash + one map lookup per block — the same
-//! trick vLLM's hash-based prefix cache uses, arranged as an explicit tree
-//! so subtree operations (eviction, sharing, the JE's global prompt tree)
-//! stay natural. Collisions are 2^-64-scale and ignored by design.
+//! block of tokens, children are identified by the *chained content hash*
+//! of the next block, and only complete blocks are cached (partial tails
+//! are per-request private state). A chained 64-bit hash identifies each
+//! prefix, so walking a query is one hash + one child lookup per block —
+//! the same trick vLLM's hash-based prefix cache uses, arranged as an
+//! explicit tree so subtree operations (eviction, sharing, the JE's global
+//! prompt tree) stay natural. Collisions are 2^-64-scale and ignored by
+//! design.
+//!
+//! Nodes live in an arena and link to their children through a
+//! first-child/next-sibling list, so a cached block costs one 48-byte slot
+//! and no heap allocation of its own. A prompt chain has one child per
+//! node, so a lookup usually compares one hash; only distinct first blocks
+//! (the roots) are kept in a map.
 //!
 //! Eviction candidates are kept as an index rather than searched for:
 //! each tier's *frontier* (unpinned nodes with no child in their own
@@ -48,22 +55,35 @@ fn chain_hash(prev: u64, block_tokens: &[TokenId]) -> u64 {
     h
 }
 
+/// The absent link in `Node`'s `u32` node references.
+const NONE: u32 = u32::MAX;
+
+/// A `Node` link as a handle.
+fn link(raw: u32) -> Option<NodeId> {
+    (raw != NONE).then_some(NodeId(raw))
+}
+
 #[derive(Debug)]
 struct Node {
-    parent: Option<NodeId>,
-    /// Child edges keyed by chained block hash. A `BTreeMap`: subtree
-    /// removal iterates it, and the freed-block order feeds the allocator
-    /// (and through it, reports).
-    children: BTreeMap<u64, NodeId>,
-    block: BlockId,
-    location: Location,
-    /// How many of `children` live in HBM; the rest live in DRAM.
-    npu_kids: u32,
-    /// Chained hash of the prefix ending at this node.
+    /// Chained hash of the prefix ending at this node: its key among its
+    /// siblings (or the roots).
     hash: u64,
     last_access: SimTime,
+    block: BlockId,
+    /// Parent slot, or `NONE` for a root.
+    parent: u32,
+    /// Head of the child list (`NONE` for a leaf). Newest child first;
+    /// nothing depends on sibling order.
+    first_child: u32,
+    /// The next child of `parent`, or `NONE`.
+    next_sibling: u32,
+    /// Length of the child list.
+    kids: u32,
+    /// How many of the children live in HBM; the rest live in DRAM.
+    npu_kids: u32,
     /// In-flight requests currently pinning this node.
     locks: u32,
+    location: Location,
 }
 
 impl Node {
@@ -73,7 +93,7 @@ impl Node {
         self.locks == 0
             && match self.location {
                 Location::Npu => self.npu_kids == 0,
-                Location::Dram => self.npu_kids as usize == self.children.len(),
+                Location::Dram => self.npu_kids == self.kids,
             }
     }
 }
@@ -152,7 +172,7 @@ impl RadixTree {
     fn node(&self, id: NodeId) -> &Node {
         self.nodes[id.0 as usize]
             .as_ref()
-            // detlint: allow(panic) — arena invariant: NodeIds only flow through the children/roots maps and the frontier index, all pruned in the same operation that vacates a slot; a stale id is a tree-corruption bug worth failing loudly on
+            // detlint: allow(panic) — arena invariant: NodeIds only flow through the child/sibling links, the roots map and the frontier index, all pruned in the same operation that vacates a slot; a stale id is a tree-corruption bug worth failing loudly on
             .expect("stale NodeId: node was removed")
     }
 
@@ -161,6 +181,22 @@ impl RadixTree {
             .as_mut()
             // detlint: allow(panic) — arena invariant: see `node` above
             .expect("stale NodeId: node was removed")
+    }
+
+    /// The children of `id`, newest first.
+    fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(link(self.node(id).first_child), |&c| {
+            link(self.node(c).next_sibling)
+        })
+    }
+
+    /// The child of `parent` (a root when `None`) keyed `hash`: a walk of
+    /// the sibling list, which for a prompt chain is one node long.
+    fn child(&self, parent: Option<NodeId>, hash: u64) -> Option<NodeId> {
+        match parent {
+            Some(p) => self.children(p).find(|&c| self.node(c).hash == hash),
+            None => self.roots.get(&hash).copied(),
+        }
     }
 
     /// The node's frontier-index entry, if it is on its tier's frontier.
@@ -196,35 +232,33 @@ impl RadixTree {
     pub fn match_prefix(&self, tokens: &[TokenId]) -> PrefixMatch {
         let mut result = PrefixMatch::default();
         let mut hash = 0u64;
-        let mut map = &self.roots;
+        let mut parent = None;
         let mut npu_streak = true;
         for block in tokens.chunks_exact(self.block_size) {
             hash = chain_hash(hash, block);
-            match map.get(&hash) {
-                Some(&id) => {
-                    let n = self.node(id);
-                    result.nodes.push(id);
-                    result.tokens += self.block_size;
-                    if npu_streak && n.location == Location::Npu {
-                        result.npu_prefix_nodes += 1;
-                    } else {
-                        npu_streak = false;
-                    }
-                    map = &n.children;
-                }
-                None => break,
+            let Some(id) = self.child(parent, hash) else {
+                break;
+            };
+            result.nodes.push(id);
+            result.tokens += self.block_size;
+            if npu_streak && self.node(id).location == Location::Npu {
+                result.npu_prefix_nodes += 1;
+            } else {
+                npu_streak = false;
             }
+            parent = Some(id);
         }
         result
     }
 
     /// Inserts the full blocks of `tokens`, attaching `blocks[i]` to block
     /// `i`. Blocks already present are left untouched (their existing
-    /// handle is returned and `blocks[i]` is reported back as redundant).
+    /// node is returned and `blocks[i]` is redundant).
     ///
-    /// Returns `(chain, redundant)`: the node chain covering the prefix,
-    /// and the caller's block ids that were already cached (caller should
-    /// drop its extra reference on those).
+    /// Returns `(chain, reused)`: the node chain covering the prefix, and
+    /// how many of its leading nodes were already cached. A node this call
+    /// creates has no children, so the cached nodes always form a leading
+    /// run, and the caller's redundant blocks are `blocks[..reused]`.
     ///
     /// # Panics
     ///
@@ -234,7 +268,7 @@ impl RadixTree {
         now: SimTime,
         tokens: &[TokenId],
         blocks: &[BlockId],
-    ) -> (Vec<NodeId>, Vec<BlockId>) {
+    ) -> (Vec<NodeId>, usize) {
         let full_blocks = tokens.len() / self.block_size;
         assert!(
             blocks.len() >= full_blocks,
@@ -242,7 +276,7 @@ impl RadixTree {
             blocks.len()
         );
         let mut chain = Vec::with_capacity(full_blocks);
-        let mut redundant = Vec::new();
+        let mut reused = 0;
         let mut hash = 0u64;
         let mut parent: Option<NodeId> = None;
         // The last node this call created. New nodes stay out of the
@@ -251,34 +285,40 @@ impl RadixTree {
         let mut new_tail: Option<NodeId> = None;
         for (i, block_tokens) in tokens.chunks_exact(self.block_size).enumerate() {
             hash = chain_hash(hash, block_tokens);
-            let existing = match parent {
-                Some(p) => self.node(p).children.get(&hash).copied(),
-                None => self.roots.get(&hash).copied(),
+            // A node this call created has no children to find.
+            let existing = if new_tail.is_none() {
+                self.child(parent, hash)
+            } else {
+                None
             };
             let id = match existing {
                 Some(id) => {
                     self.modify(id, |n| n.last_access = now);
-                    redundant.push(blocks[i]);
+                    reused += 1;
                     id
                 }
                 None => {
+                    let next_sibling = parent.map_or(NONE, |p| self.node(p).first_child);
                     let id = self.alloc_node(Node {
-                        parent,
-                        children: BTreeMap::new(),
-                        block: blocks[i],
-                        location: Location::Npu,
-                        npu_kids: 0,
                         hash,
                         last_access: now,
+                        block: blocks[i],
+                        parent: parent.map_or(NONE, |p| p.0),
+                        first_child: NONE,
+                        next_sibling,
+                        kids: 0,
+                        npu_kids: 0,
                         locks: 0,
+                        location: Location::Npu,
                     });
-                    let link = |n: &mut Node| {
-                        n.children.insert(hash, id);
+                    let adopt = |n: &mut Node| {
+                        n.first_child = id.0;
+                        n.kids += 1;
                         n.npu_kids += 1;
                     };
                     match parent {
-                        Some(p) if new_tail == Some(p) => link(self.node_mut(p)),
-                        Some(p) => self.modify(p, link),
+                        Some(p) if new_tail == Some(p) => adopt(self.node_mut(p)),
+                        Some(p) => self.modify(p, adopt),
                         None => {
                             self.roots.insert(hash, id);
                         }
@@ -293,7 +333,7 @@ impl RadixTree {
         if let Some(leaf) = new_tail {
             self.enter(leaf);
         }
-        (chain, redundant)
+        (chain, reused)
     }
 
     fn alloc_node(&mut self, n: Node) -> NodeId {
@@ -348,7 +388,7 @@ impl RadixTree {
     pub fn relocate(&mut self, id: NodeId, block: BlockId, location: Location) {
         let (was, parent) = {
             let n = self.node(id);
-            (n.location, n.parent)
+            (n.location, link(n.parent))
         };
         self.modify(id, |n| {
             n.block = block;
@@ -401,13 +441,14 @@ impl RadixTree {
             let Some(n) = slot else {
                 return true;
             };
+            let id = NodeId(i as u32);
             let tier = n.location as usize;
             let on = n.locks == 0
-                && n.children
-                    .values()
-                    .all(|&c| self.node(c).location != n.location);
+                && self
+                    .children(id)
+                    .all(|c| self.node(c).location != n.location);
             admitted[tier] += usize::from(on);
-            on == self.frontier[tier].contains(&(n.last_access, NodeId(i as u32)))
+            on == self.frontier[tier].contains(&(n.last_access, id))
         });
         members_match
             && admitted
@@ -426,23 +467,18 @@ impl RadixTree {
         let mut stack = vec![id];
         let mut subtree = Vec::new();
         while let Some(n) = stack.pop() {
-            let node = self.node(n);
-            if node.locks > 0 {
+            if self.node(n).locks > 0 {
                 return None;
             }
             subtree.push(n);
-            // Children come out in hash-key order; sort by NodeId to keep
-            // the historical traversal (and thus block-release) order.
-            let mut kids: Vec<NodeId> = node.children.values().copied().collect();
+            // Each node's children are pushed in `NodeId` order: the
+            // traversal (and thus block-release) order is the ids', not the
+            // sibling list's.
+            let mut kids: Vec<NodeId> = self.children(n).collect();
             kids.sort_unstable();
             stack.extend(kids);
         }
-        // Detach the subtree root from its parent.
-        let (parent, hash, location) = {
-            let n = self.node(id);
-            (n.parent, n.hash, n.location)
-        };
-        self.detach(parent, hash, location);
+        self.detach(id);
         // Release every node.
         let mut freed = Vec::with_capacity(subtree.len());
         for n in subtree {
@@ -458,20 +494,27 @@ impl RadixTree {
         Some(freed)
     }
 
-    /// Unlinks the child keyed `hash`, living in `location`, from `parent`
-    /// (or from the roots).
-    fn detach(&mut self, parent: Option<NodeId>, hash: u64, location: Location) {
-        match parent {
-            Some(p) => self.modify(p, |n| {
-                n.children.remove(&hash);
-                if location == Location::Npu {
-                    n.npu_kids -= 1;
-                }
-            }),
-            None => {
-                self.roots.remove(&hash);
-            }
+    /// Unlinks `id` from its parent's child list (or from the roots).
+    fn detach(&mut self, id: NodeId) {
+        let (parent, hash, location, next) = {
+            let n = self.node(id);
+            (link(n.parent), n.hash, n.location, n.next_sibling)
+        };
+        let Some(p) = parent else {
+            self.roots.remove(&hash);
+            return;
+        };
+        // Sibling links are not part of any frontier key.
+        match self.children(p).take_while(|&c| c != id).last() {
+            Some(prev) => self.node_mut(prev).next_sibling = next,
+            None => self.node_mut(p).first_child = next,
         }
+        self.modify(p, |n| {
+            n.kids -= 1;
+            if location == Location::Npu {
+                n.npu_kids -= 1;
+            }
+        });
     }
 
     /// Removes a leaf node, returning its block and tier so the caller can
@@ -481,14 +524,14 @@ impl RadixTree {
     ///
     /// Panics if the node has children or is locked.
     pub fn remove_leaf(&mut self, id: NodeId) -> (BlockId, Location) {
-        let (parent, hash, block, location) = {
+        let (block, location) = {
             let n = self.node(id);
-            assert!(n.children.is_empty(), "remove_leaf on interior node");
+            assert_eq!(n.kids, 0, "remove_leaf on interior node");
             assert_eq!(n.locks, 0, "remove_leaf on locked node");
-            (n.parent, n.hash, n.block, n.location)
+            (n.block, n.location)
         };
         self.leave(id);
-        self.detach(parent, hash, location);
+        self.detach(id);
         self.nodes[id.0 as usize] = None;
         self.free_slots.push(id.0);
         self.node_count -= 1;
@@ -521,10 +564,11 @@ mod tests {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|n| (i, n)))
-            .filter(|(_, n)| {
+            .filter(|&(i, n)| {
                 n.locks == 0
                     && n.location == tier
-                    && n.children.values().all(|&c| t.node(c).location != tier)
+                    && t.children(NodeId(i as u32))
+                        .all(|c| t.node(c).location != tier)
             })
             .map(|(i, n)| (n.last_access, NodeId(i as u32)))
             .collect();
@@ -552,9 +596,9 @@ mod tests {
     fn insert_then_match_full_prefix() {
         let mut t = RadixTree::new(B);
         let tokens = toks(1, 64); // 4 blocks
-        let (chain, redundant) = t.insert(SimTime::ZERO, &tokens, &blocks(0, 4));
+        let (chain, reused) = t.insert(SimTime::ZERO, &tokens, &blocks(0, 4));
         assert_eq!(chain.len(), 4);
-        assert!(redundant.is_empty());
+        assert_eq!(reused, 0);
         let m = t.match_prefix(&tokens);
         assert_eq!(m.tokens, 64);
         assert_eq!(m.nodes, chain);
@@ -579,11 +623,11 @@ mod tests {
         a.extend(toks(2, 32));
         let mut b = shared.clone();
         b.extend(toks(3, 32));
-        let (ca, red_a) = t.insert(SimTime::ZERO, &a, &blocks(0, 4));
-        assert!(red_a.is_empty());
-        let (cb, red_b) = t.insert(SimTime::ZERO, &b, &blocks(4, 4));
+        let (ca, reused_a) = t.insert(SimTime::ZERO, &a, &blocks(0, 4));
+        assert_eq!(reused_a, 0);
+        let (cb, reused_b) = t.insert(SimTime::ZERO, &b, &blocks(4, 4));
         // First two blocks of b are already cached.
-        assert_eq!(red_b, vec![BlockId(4), BlockId(5)]);
+        assert_eq!(reused_b, 2);
         assert_eq!(ca[..2], cb[..2], "shared prefix shares nodes");
         assert_eq!(t.len(), 6);
     }
@@ -665,10 +709,11 @@ mod tests {
         assert_eq!(t.len(), 1);
     }
 
+    /// A cached block's arena slot: a wider `Node` shows up directly in
+    /// host memory per cached block.
     #[test]
-    fn node_fits_in_64_bytes() {
-        assert!(std::mem::size_of::<Node>() <= 64);
-        assert!(std::mem::size_of::<Option<Node>>() <= 64);
+    fn node_slot_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Node>>(), 48);
     }
 
     #[test]
@@ -758,7 +803,7 @@ mod tests {
                         let leaves: Vec<NodeId> = live
                             .iter()
                             .copied()
-                            .filter(|&id| t.node(id).children.is_empty() && t.node(id).locks == 0)
+                            .filter(|&id| t.node(id).kids == 0 && t.node(id).locks == 0)
                             .collect();
                         if !leaves.is_empty() {
                             t.remove_leaf(leaves[(r >> 40) as usize % leaves.len()]);
@@ -779,9 +824,10 @@ mod tests {
                 prop_assert!(t.frontier_in_step(), "drift guard disagrees at step {}", step);
                 for id in live_nodes(&t) {
                     let n = t.node(id);
-                    let in_npu = |c: &&NodeId| t.node(**c).location == Location::Npu;
-                    let npu = n.children.values().filter(in_npu).count();
+                    let in_npu = |c: &NodeId| t.node(*c).location == Location::Npu;
+                    let npu = t.children(id).filter(in_npu).count();
                     prop_assert_eq!(n.npu_kids as usize, npu, "step {} {:?}", step, id);
+                    prop_assert_eq!(n.kids as usize, t.children(id).count(), "step {} {:?}", step, id);
                 }
             }
         }

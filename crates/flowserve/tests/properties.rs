@@ -2,7 +2,7 @@
 //! radix-tree consistency, and whole-engine conservation under random
 //! workloads.
 
-use flowserve::block::BlockPool;
+use flowserve::block::{BlockId, BlockPool, OutOfBlocks};
 use flowserve::rtc::{Location, Rtc, RtcConfig};
 use flowserve::{
     synthetic_tokens, Engine, EngineConfig, EngineEvent, EngineMode, NewRequest, RequestId,
@@ -22,35 +22,99 @@ fn rtc(npu: usize, dram: usize) -> Rtc {
     })
 }
 
+/// The block pool as first written: a free list of every id, reversed so
+/// low ids come out first. `BlockPool` fills its ids lazily and must hand
+/// them out in exactly this order.
+struct EagerPool {
+    free: Vec<BlockId>,
+    ref_counts: Vec<u32>,
+}
+
+impl EagerPool {
+    fn new(capacity: usize) -> Self {
+        EagerPool {
+            free: (0..capacity as u32).rev().map(BlockId).collect(),
+            ref_counts: vec![0; capacity],
+        }
+    }
+
+    fn alloc(&mut self) -> Result<BlockId, OutOfBlocks> {
+        let id = self.free.pop().ok_or(OutOfBlocks {
+            requested: 1,
+            available: 0,
+        })?;
+        self.ref_counts[id.0 as usize] = 1;
+        Ok(id)
+    }
+
+    fn alloc_many(&mut self, n: usize) -> Result<Vec<BlockId>, OutOfBlocks> {
+        if self.free.len() < n {
+            return Err(OutOfBlocks {
+                requested: n,
+                available: self.free.len(),
+            });
+        }
+        (0..n).map(|_| self.alloc()).collect()
+    }
+
+    fn incref(&mut self, id: BlockId) {
+        self.ref_counts[id.0 as usize] += 1;
+    }
+
+    fn decref(&mut self, id: BlockId) -> bool {
+        let rc = &mut self.ref_counts[id.0 as usize];
+        *rc -= 1;
+        if *rc == 0 {
+            self.free.push(id);
+        }
+        *rc == 0
+    }
+}
+
 proptest! {
     /// Pool accounting is conserved across arbitrary alloc/share/free
     /// interleavings: available + in_use == capacity always, and a fully
-    /// drained pool returns to all-free.
+    /// drained pool returns to all-free. Every call also matches the eager
+    /// reference pool: the same ids (or the same `OutOfBlocks`), the same
+    /// frees, the same counts. Block ids never reach a report, so this is
+    /// what pins the allocation order.
     #[test]
-    fn block_pool_conserves_blocks(ops in prop::collection::vec(0u8..4, 1..300)) {
+    fn block_pool_conserves_blocks(ops in prop::collection::vec((0u8..5, any::<u16>()), 1..300)) {
         let cap = 64;
         let mut pool = BlockPool::new(cap);
-        let mut held: Vec<flowserve::BlockId> = Vec::new();
-        for op in ops {
+        let mut eager = EagerPool::new(cap);
+        let mut held: Vec<BlockId> = Vec::new();
+        for (op, r) in ops {
             match op {
                 0 => {
-                    if let Ok(b) = pool.alloc() {
-                        held.push(b);
-                    }
+                    let got = pool.alloc();
+                    prop_assert_eq!(got, eager.alloc());
+                    held.extend(got);
                 }
                 1 => {
-                    if let Some(&b) = held.last() {
+                    let n = r as usize % 9;
+                    let got = pool.alloc_many(n);
+                    prop_assert_eq!(&got, &eager.alloc_many(n));
+                    held.extend(got.into_iter().flatten());
+                }
+                2 => {
+                    if !held.is_empty() {
+                        let b = held[r as usize % held.len()];
                         pool.incref(b);
+                        eager.incref(b);
                         held.push(b);
                     }
                 }
-                2 | 3 => {
-                    if let Some(b) = held.pop() {
-                        pool.decref(b);
+                3 | 4 => {
+                    if !held.is_empty() {
+                        let b = held.swap_remove(r as usize % held.len());
+                        prop_assert_eq!(pool.decref(b), eager.decref(b));
                     }
                 }
                 _ => unreachable!(),
             }
+            prop_assert_eq!(pool.available(), eager.free.len());
+            prop_assert_eq!(pool.in_use(), cap - eager.free.len());
             prop_assert_eq!(pool.available() + pool.in_use(), cap);
         }
         for b in held.drain(..) {
