@@ -37,6 +37,11 @@
 //! on the 256-TE one, and the streamed run stays under a fixed RSS
 //! budget. A full run also snapshots the results to
 //! `BENCH_scale.json` at the repo root to track the perf trajectory.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sweep measures the simulator's wall-clock speed"
+)]
 
 use deepserve::{materialize_trace, stream_trace, ClusterConfig, ClusterSim, Policy, TeRole};
 use deepserve_bench::{header, numeric_flag, peak_rss_kb, reset_peak_rss, write_json};

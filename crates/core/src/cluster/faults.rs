@@ -42,9 +42,9 @@ impl Default for FaultRecoveryConfig {
     }
 }
 
-// detlint note: the hash fields below are point-lookup only
-// (insert/remove/get/contains), never iterated, so hash order cannot leak
-// into reports or traces.
+// The hash fields below are point-lookup only (insert/remove/get/
+// contains), and clippy.toml bans iterating them, so hash order cannot
+// leak into reports or traces.
 
 /// The fault layer's state: empty and inert until
 /// [`ClusterSim::install_faults`] arms it.

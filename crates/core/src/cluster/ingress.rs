@@ -50,8 +50,8 @@ pub(super) struct LiveState {
     pub(super) pace_limit: Option<SimTime>,
 }
 
-// detlint note: `index` is point-lookup only (insert/remove/get), never
-// iterated, so hash order cannot leak into reports or traces.
+// `index` is point-lookup only (insert/remove/get), and clippy.toml bans
+// iterating it, so hash order cannot leak into reports or traces.
 
 /// Accepted requests and the workload stream that feeds them.
 #[derive(Default)]

@@ -19,8 +19,8 @@ struct Migration {
     span: SpanId,
 }
 
-// detlint note: `route` and `pending` are point-lookup only
-// (insert/remove), never iterated, so hash order cannot leak into reports
+// `route` and `pending` are point-lookup only (insert/remove), and
+// clippy.toml bans iterating them, so hash order cannot leak into reports
 // or traces. `in_flight` is iterated, so it is a BTreeMap.
 
 /// Routes, stashes and in-flight transfers of disaggregated requests.
@@ -124,7 +124,7 @@ impl ClusterSim {
         // construction, so planning can only fail if that wiring changes.
         let plan = match self
             .distflow
-            .transfer_at(now, buffer(src), buffer(dst), link_kind)
+            .transfer(now, buffer(src), buffer(dst), link_kind)
         {
             Ok(plan) => plan,
             Err(e) => {

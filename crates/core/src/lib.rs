@@ -27,6 +27,8 @@
 //!   storage hierarchy (§6.2).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::iter_over_hash_type)]
 
 pub mod api;
 pub mod cluster;

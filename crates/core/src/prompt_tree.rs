@@ -4,13 +4,15 @@
 //! type of TE, while each TE also maintains a local prompt tree that shares
 //! an index with its corresponding global tree."
 //!
-//! The shared index is the same chained block hash the TE-local RTC radix
-//! tree uses, so a prefix cached on a TE and a prompt arriving at the JE
-//! agree on identity without shipping tokens around. The global tree stores,
+//! The shared index is the chained block hash the TE-local RTC radix tree
+//! uses ([`flowserve::rtc::chain_hash`]), so a prefix cached on a TE and a
+//! prompt arriving at the JE agree on identity without shipping tokens
+//! around. The global tree stores,
 //! per prefix level, which TEs hold it and when it was last refreshed —
 //! enough to answer "which TE has the longest common prefix for this
 //! request" (`select_tes_prefix_match`).
 
+use flowserve::rtc::chain_hash;
 use flowserve::TokenId;
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -18,19 +20,6 @@ use std::collections::BTreeMap;
 /// A TE identity (platform-level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct TeId(pub u32);
-
-/// Chained hash matching `flowserve::rtc::radix`'s scheme. Kept textually
-/// in sync: the two trees must agree on prefix identity (the "shared
-/// index").
-fn chain_hash(prev: u64, block_tokens: &[TokenId]) -> u64 {
-    let mut h = prev ^ 0x51_7c_c1_b7_27_22_0a_95;
-    for t in block_tokens {
-        h ^= t.0 as u64;
-        h = h.wrapping_mul(0x100000001b3);
-        h = h.rotate_left(23);
-    }
-    h
-}
 
 /// The global prompt tree for one TE group.
 #[derive(Debug)]

@@ -398,7 +398,10 @@ impl ScalingModel {
     /// mirroring the master's decision: NPU-fork when enabled and a source
     /// TE runs this model (never during cold start from zero TEs), else
     /// local load whose speed depends on page-cache residency.
-    #[allow(clippy::too_many_arguments)] // mirrors the master's full decision context
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the master's full decision context"
+    )]
     pub fn choose_path(
         &self,
         opts: ScalingOptimizations,

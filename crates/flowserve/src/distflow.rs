@@ -174,20 +174,9 @@ impl DistFlow {
 
     /// Data plane: plans `transfer(srcInfo, dstInfo)`. Validates the link
     /// and sizes, picks a backend by topology, and returns the plan for the
-    /// clock owner to execute.
+    /// clock owner to execute. Planning itself is instantaneous; `now` only
+    /// timestamps the emitted trace records.
     pub fn transfer(
-        &mut self,
-        src: BufferInfo,
-        dst: BufferInfo,
-        link_kind: LinkKind,
-    ) -> Result<TransferPlan, DistFlowError> {
-        self.transfer_at(SimTime::ZERO, src, dst, link_kind)
-    }
-
-    /// [`DistFlow::transfer`] with a sim-time stamp for tracing and link
-    /// occupancy accounting. Planning itself is instantaneous; `now` only
-    /// timestamps the emitted records.
-    pub fn transfer_at(
         &mut self,
         now: SimTime,
         src: BufferInfo,
@@ -281,6 +270,7 @@ mod tests {
         let mut df = DistFlow::new(false);
         let err = df
             .transfer(
+                SimTime::ZERO,
                 buf(NpuId::new(0, 0), MemTier::Hbm, 100),
                 buf(NpuId::new(1, 0), MemTier::Hbm, 100),
                 LinkKind::Roce,
@@ -295,6 +285,7 @@ mod tests {
         let a = NpuId::new(0, 0);
         let err = df
             .transfer(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 100),
                 buf(a, MemTier::Dram, 200),
                 LinkKind::Local,
@@ -312,6 +303,7 @@ mod tests {
         df.link_cluster(&[a, b, c]);
         let hccs = df
             .transfer(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(b, MemTier::Hbm, 64),
                 LinkKind::Hccs,
@@ -321,6 +313,7 @@ mod tests {
         assert!(hccs.crosses_fabric);
         let roce = df
             .transfer(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(c, MemTier::Hbm, 64),
                 LinkKind::Roce,
@@ -329,6 +322,7 @@ mod tests {
         assert_eq!(roce.backend, Backend::Roce);
         let local = df
             .transfer(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(a, MemTier::Dram, 64),
                 LinkKind::Local,
@@ -346,6 +340,7 @@ mod tests {
         df.link_cluster(&[a, b]);
         let plan = df
             .transfer(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(b, MemTier::Hbm, 64),
                 LinkKind::Hccs,
@@ -360,6 +355,7 @@ mod tests {
         let a = NpuId::new(0, 0);
         for _ in 0..3 {
             df.transfer(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 1000),
                 buf(a, MemTier::Dram, 1000),
                 LinkKind::Local,

@@ -27,7 +27,7 @@
 use crate::block::BlockId;
 use crate::config::{EngineConfig, EngineMode};
 use crate::request::{EngineRequest, NewRequest, Phase, RequestArena, RequestId};
-use crate::rtc::{PopulateTicket, Rtc, RtcConfig};
+use crate::rtc::{PopulateTicket, PrefixMatch, Rtc, RtcConfig};
 use llm_model::{BatchWork, ExecCostModel};
 use simcore::trace::{SpanId, Trace, TraceLevel, Tracer};
 use simcore::{Counters, RequestLatency, SimDuration, SimTime};
@@ -416,18 +416,11 @@ impl Engine {
         req: &mut EngineRequest,
     ) -> Option<PendingPopulate> {
         // Prefer the explicit ID entry when given, else prefix tokens.
-        let mut m = match req.new.cache_id.and_then(|cid| self.rtc.match_by_id(cid)) {
+        let m = match req.new.cache_id.and_then(|cid| self.rtc.match_by_id(cid)) {
             Some(m) => m,
             None => self.rtc.match_by_prefix_token(&req.new.prompt),
         };
-        // Never reuse the *entire* prompt: at least one token must run
-        // through the model to produce the first output token.
-        let max_nodes = (req.prompt_len().saturating_sub(1)) / self.cfg.block_size;
-        if m.nodes.len() > max_nodes {
-            m.nodes.truncate(max_nodes);
-            m.tokens = max_nodes * self.cfg.block_size;
-            m.npu_prefix_nodes = m.npu_prefix_nodes.min(max_nodes);
-        }
+        let m = usable_prefix(self.cfg.block_size, req, m);
         if m.nodes.is_empty() {
             return None;
         }
@@ -460,13 +453,8 @@ impl Engine {
 
         // Acquire whatever is NPU-resident right now. If a populate is in
         // flight we re-acquire the longer prefix when it lands.
-        if m.npu_prefix_nodes > 0 && pending.is_none() {
-            let acq = self.rtc.acquire_prefix(now, &m);
-            req.cached_tokens = acq.tokens(self.cfg.block_size);
-            req.prefilled_tokens = req.cached_tokens;
-            req.acquired = Some(acq);
-            self.counters
-                .add("engine.cache_hit_tokens", req.cached_tokens as u64);
+        if pending.is_none() {
+            acquire_npu_prefix(&mut self.rtc, &mut self.counters, now, req, &m);
         }
         pending
     }
@@ -482,21 +470,9 @@ impl Engine {
         };
         req.populate = None;
         // Re-match: the populated nodes are NPU-resident now.
-        let mut m = self.rtc.match_by_prefix_token(&req.new.prompt);
-        let max_nodes = (req.prompt_len().saturating_sub(1)) / self.cfg.block_size;
-        if m.nodes.len() > max_nodes {
-            m.nodes.truncate(max_nodes);
-            m.tokens = max_nodes * self.cfg.block_size;
-            m.npu_prefix_nodes = m.npu_prefix_nodes.min(max_nodes);
-        }
-        if m.npu_prefix_nodes > 0 {
-            let acq = self.rtc.acquire_prefix(now, &m);
-            req.cached_tokens = acq.tokens(self.cfg.block_size);
-            req.prefilled_tokens = req.cached_tokens;
-            req.acquired = Some(acq);
-            self.counters
-                .add("engine.cache_hit_tokens", req.cached_tokens as u64);
-        }
+        let m = self.rtc.match_by_prefix_token(&req.new.prompt);
+        let m = usable_prefix(self.cfg.block_size, req, m);
+        acquire_npu_prefix(&mut self.rtc, &mut self.counters, now, req, &m);
         req.phase = Phase::Queued;
         if self.tracer.is_enabled() {
             let span = self.req_spans.get(&id).copied().unwrap_or(SpanId::NONE);
@@ -814,10 +790,15 @@ impl Engine {
             let mut coming = 0usize;
             for (i, s) in slack.iter_mut().enumerate() {
                 if *s == 0 {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "unreachable: the quiescence gate checked next_appends <= free \
+                                  before entering this batch; a mid-batch allocation failure \
+                                  would mean the pool accounting itself is broken"
+                    )]
                     let blk = self
                         .rtc
                         .append_block()
-                        // detlint: allow(panic) — unreachable: the quiescence gate checked next_appends <= free before entering this batch; a mid-batch allocation failure would mean the pool accounting itself is broken
                         .expect("fast-forward pre-checked a pool hit");
                     new_blocks[i].push(blk);
                     *s = self.cfg.block_size - 1;
@@ -1377,4 +1358,36 @@ impl Engine {
     pub fn migration_kv_tokens(&self, id: RequestId) -> Option<usize> {
         self.requests.get(id).map(|r| r.table.tokens())
     }
+}
+
+/// The part of prefix match `m` that `req` may reuse: never the *entire*
+/// prompt, since at least one token must run through the model to produce
+/// the first output token.
+fn usable_prefix(block_size: usize, req: &EngineRequest, mut m: PrefixMatch) -> PrefixMatch {
+    let max_nodes = req.prompt_len().saturating_sub(1) / block_size;
+    if m.nodes.len() > max_nodes {
+        m.nodes.truncate(max_nodes);
+        m.tokens = max_nodes * block_size;
+        m.npu_prefix_nodes = m.npu_prefix_nodes.min(max_nodes);
+    }
+    m
+}
+
+/// Pins the NPU-resident head of `m` for `req`, seeds the request's cached
+/// (and so already prefilled) tokens with it and counts them as cache hits.
+fn acquire_npu_prefix(
+    rtc: &mut Rtc,
+    counters: &mut Counters,
+    now: SimTime,
+    req: &mut EngineRequest,
+    m: &PrefixMatch,
+) {
+    if m.npu_prefix_nodes == 0 {
+        return;
+    }
+    let acq = rtc.acquire_prefix(now, m);
+    req.cached_tokens = acq.tokens(rtc.block_size());
+    req.prefilled_tokens = req.cached_tokens;
+    req.acquired = Some(acq);
+    counters.add("engine.cache_hit_tokens", req.cached_tokens as u64);
 }

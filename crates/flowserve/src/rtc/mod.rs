@@ -25,7 +25,7 @@ pub mod radix;
 
 use crate::block::{BlockId, BlockPool, OutOfBlocks};
 use crate::tokenizer::TokenId;
-pub use radix::{Location, NodeId, PrefixMatch, RadixTree};
+pub use radix::{chain_hash, Location, NodeId, PrefixMatch, RadixTree};
 use simcore::trace::{Trace, TraceLevel, Tracer};
 use simcore::{Counters, SimTime};
 use std::collections::HashMap;

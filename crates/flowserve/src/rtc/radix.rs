@@ -44,8 +44,11 @@ pub enum Location {
     Dram,
 }
 
-/// Chained hash of a block-quantized prefix.
-fn chain_hash(prev: u64, block_tokens: &[TokenId]) -> u64 {
+/// Chained hash of a block-quantized prefix: `prev` is the hash of the
+/// prefix before `block_tokens` (0 for the first block). The platform's
+/// global prompt trees key on it too, so a TE's cache and the JE agree on
+/// prefix identity (the "shared index" of §5.2).
+pub fn chain_hash(prev: u64, block_tokens: &[TokenId]) -> u64 {
     let mut h = prev ^ 0x51_7c_c1_b7_27_22_0a_95;
     for t in block_tokens {
         h ^= t.0 as u64;
@@ -169,17 +172,22 @@ impl RadixTree {
         self.node_count == 0
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "arena invariant: NodeIds only flow through the child/sibling links, the roots \
+                  map and the frontier index, all pruned in the same operation that vacates a \
+                  slot; a stale id is a tree-corruption bug worth failing loudly on"
+    )]
     fn node(&self, id: NodeId) -> &Node {
         self.nodes[id.0 as usize]
             .as_ref()
-            // detlint: allow(panic) — arena invariant: NodeIds only flow through the child/sibling links, the roots map and the frontier index, all pruned in the same operation that vacates a slot; a stale id is a tree-corruption bug worth failing loudly on
             .expect("stale NodeId: node was removed")
     }
 
+    #[expect(clippy::expect_used, reason = "arena invariant: see `node` above")]
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
         self.nodes[id.0 as usize]
             .as_mut()
-            // detlint: allow(panic) — arena invariant: see `node` above
             .expect("stale NodeId: node was removed")
     }
 

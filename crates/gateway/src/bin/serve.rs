@@ -16,6 +16,9 @@
 //! and fails loudly unless the replayed report is byte-identical to the
 //! live run's (the determinism contract in DESIGN.md "Serving façade").
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::iter_over_hash_type)]
+
 use deepserve_gateway::{build_fleet_sim, build_sim, log, Server, ServerConfig};
 use std::process::ExitCode;
 

@@ -18,6 +18,8 @@
 //!   reproduces the live run's report byte-for-byte.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::iter_over_hash_type)]
 
 pub mod http;
 pub mod log;

@@ -8,12 +8,16 @@
 //! chooses *when* ingress happens; once an arrival stamp is chosen it goes
 //! into the session log, and replaying the log needs no clock at all.
 //!
-//! Every host-clock touchpoint below carries an explicit detlint waiver;
-//! detlint's wall-clock rule still covers the rest of the crate (and the
-//! workspace) so new call sites cannot creep in unreviewed.
+//! The waiver below is scoped to this file: clippy's `Instant` and
+//! `Instant::now` bans still cover the rest of the crate (and the
+//! workspace), so new call sites cannot creep in unreviewed.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the serving façade's sole sim↔wall bridge; see module doc"
+)]
 
 use simcore::{SimDuration, SimTime};
-// detlint: allow(wall-clock) — the serving façade's sole sim↔wall bridge; see module doc
 use std::time::{Duration, Instant};
 
 /// Maps wall-clock progress since an anchor instant onto sim time, scaled
@@ -35,7 +39,6 @@ impl Pacer {
         let ok = timescale.is_finite() && timescale > 0.0;
         debug_assert!(ok, "timescale must be finite and positive");
         Pacer {
-            // detlint: allow(wall-clock) — anchor for the sim↔wall mapping
             start: Instant::now(),
             timescale: if ok { timescale } else { 1.0 },
         }

@@ -3,7 +3,7 @@
 //! [`ClusterSim`].
 //!
 //! One thread does everything — accept, read, parse, submit, step the sim,
-//! stream tokens — so detlint's thread rule holds in this crate with no
+//! stream tokens — so clippy's thread bans hold in this crate with no
 //! waivers.
 //! Sockets are non-blocking; the loop paces itself with
 //! [`crate::pacing::Pacer`], the workspace's only wall-clock site.

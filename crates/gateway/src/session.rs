@@ -26,8 +26,8 @@ pub const DEFAULT_SESSION_CAPACITY: usize = 1024;
 
 /// Allocates stable per-session cache ids, LRU-capped.
 ///
-/// detlint note: the map is point-lookup only (never iterated); eviction
-/// order comes from the `recency` vector.
+/// The map is point-lookup only (clippy.toml bans iterating it);
+/// eviction order comes from the `recency` vector.
 #[derive(Debug)]
 pub struct SessionTable {
     ids: HashMap<String, u64>,

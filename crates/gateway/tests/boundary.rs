@@ -2,6 +2,10 @@
 //! requests, truncated reads, oversized bodies, unknown routes,
 //! mid-stream disconnects, and concurrent sessions. The server must
 //! answer each with the right status code and keep serving — never panic.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the server runs on its own thread so the test can be its concurrent clients"
+)]
 
 use deepserve_gateway::{build_fleet_sim, build_sim, log, ServeOutcome, Server, ServerConfig};
 use std::io::{Read, Write};

@@ -115,9 +115,13 @@ impl ExecCostModel {
     ///
     /// Panics if the parallelism is invalid for the model (see
     /// [`Parallelism::validate`]).
+    #[expect(
+        clippy::panic,
+        reason = "construction-time config validation, documented under # Panics; \
+                  failing fast here beats simulating a physically impossible parallelism"
+    )]
     pub fn new(chip: ChipSpec, tp_link: LinkSpec, model: ModelSpec, par: Parallelism) -> Self {
         if let Err(e) = par.validate(&model) {
-            // detlint: allow(panic) — construction-time config validation, documented under # Panics; failing fast here beats simulating a physically impossible parallelism
             panic!("ExecCostModel: invalid parallelism for {}: {e}", model.name);
         }
         ExecCostModel {
@@ -222,29 +226,11 @@ impl ExecCostModel {
         self.step_time(&BatchWork::decode(batch, batch * avg_context))
     }
 
-    /// NPU time for `iterations` consecutive pure-decode steps of a fixed
-    /// `seqs`-sequence batch starting at `context_total` total context
-    /// tokens (context grows by `seqs` each step).
-    ///
-    /// Deliberately *not* a closed-form integral: each step is priced and
-    /// rounded to integer nanoseconds exactly like [`Self::step_time`], so
-    /// macro-stepped runs stay bit-identical to single-stepped ones — a
-    /// float summation could drift by an ulp and break replay.
-    pub fn decode_run_time(&self, seqs: u64, context_total: u64, iterations: u64) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut ctx = context_total;
-        for _ in 0..iterations {
-            ctx += seqs;
-            total += self.step_time(&BatchWork::decode(seqs, ctx));
-        }
-        total
-    }
-
     /// Vectorized per-step pricing: appends the durations of `steps`
     /// consecutive pure-decode iterations of a fixed `seqs`-sequence
     /// batch into `out`, starting at `context_start` total context
-    /// tokens (context grows by `seqs` before each step, exactly like
-    /// [`Self::decode_run_time`]).
+    /// tokens (context grows by `seqs` before each step: step `i` prices
+    /// `BatchWork::decode(seqs, context_start + (i + 1) * seqs)`).
     ///
     /// The context-invariant terms of [`Self::step_breakdown`] — linear
     /// FLOPs, weight-streaming bytes, TP/PP communication (decode batch
@@ -387,21 +373,6 @@ mod tests {
         let t64 = m.decode_iter_time(64, 2048).as_secs_f64();
         // 64x the work in far less than 64x the time.
         assert!(t64 < 8.0 * t1, "t1={t1} t64={t64}");
-    }
-
-    #[test]
-    fn decode_run_time_matches_per_step_sum() {
-        // The multi-iteration helper must reproduce the per-step
-        // integer-nanosecond rounding exactly — this is the arithmetic the
-        // fast-forward path relies on for bit-identical replay.
-        let m = model_34b_tp4();
-        let (seqs, mut ctx, iters) = (48u64, 48 * 777u64, 100u64);
-        let mut manual = SimDuration::ZERO;
-        for _ in 0..iters {
-            ctx += seqs;
-            manual += m.step_time(&BatchWork::decode(seqs, ctx));
-        }
-        assert_eq!(m.decode_run_time(48, 48 * 777, iters), manual);
     }
 
     #[test]

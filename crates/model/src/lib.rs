@@ -14,6 +14,8 @@
 //!   mmap-able per-rank byte ranges plus the fixed tensor-init overhead.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::iter_over_hash_type)]
 
 pub mod cost;
 pub mod parallel;

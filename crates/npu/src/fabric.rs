@@ -18,9 +18,9 @@ use crate::specs::{ClusterSpec, NpuId};
 use simcore::{FlowId, SharedLink, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
-// detlint note: `flow_owner` stays a HashMap — it is only ever used for
-// point lookups (insert/remove by key), never iterated, so hash order
-// cannot leak anywhere.
+// `flow_owner` stays a HashMap: it is only ever used for point lookups
+// (insert/remove by key), and clippy.toml bans iterating it, so hash
+// order cannot leak anywhere.
 
 /// Which tier a transfer rides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

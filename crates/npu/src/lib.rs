@@ -17,6 +17,8 @@
 //!   SSD ← remote store) behind serverless fleet cold starts.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::iter_over_hash_type)]
 
 pub mod fabric;
 pub mod hccl;

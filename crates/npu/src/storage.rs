@@ -90,8 +90,8 @@ impl Default for RemoteStoreSpec {
 
 /// Whole-file SSD resident set with deterministic LRU eviction.
 ///
-/// detlint note: the byte-count map is point-lookup only (never
-/// iterated); LRU order lives in the `lru` vector.
+/// The byte-count map is point-lookup only (clippy.toml bans iterating
+/// it); LRU order lives in the `lru` vector.
 #[derive(Debug, Clone)]
 struct SsdStore {
     capacity: u64,

@@ -246,7 +246,10 @@ impl<E> Clock<E> {
     /// Deliberately named like `Iterator::next`; `Clock` is not an
     /// iterator because popping mutates the clock, but the call-site
     /// reading ("give me the next event") is the same.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "popping mutates the clock, so Clock is not an Iterator"
+    )]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
         let (t, e) = self.queue.pop()?;
         debug_assert!(t >= self.now, "event queue yielded an event in the past");

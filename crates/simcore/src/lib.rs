@@ -26,6 +26,8 @@
 //! time, ordered queues and seeded RNG streams, not from locking.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::iter_over_hash_type)]
 
 pub mod event;
 pub mod fault;

@@ -158,7 +158,10 @@ impl SimDuration {
     }
 
     /// Integer division of the span, rounding down.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "divides by a plain u64, clamped to at least 1"
+    )]
     pub fn div(self, divisor: u64) -> SimDuration {
         SimDuration(self.0 / divisor.max(1))
     }

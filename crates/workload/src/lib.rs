@@ -22,6 +22,8 @@
 //! without this crate depending on any tokenizer.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::iter_over_hash_type)]
 
 pub mod fleet;
 pub mod traces;

@@ -571,7 +571,7 @@ mod tests {
         assert!((frac - 0.7).abs() < 0.03, "shared fraction {frac}");
         // Context popularity must be skewed: the most common context
         // should appear far more often than 1/contexts.
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for r in &reqs {
             if let Some((seed, _)) = r.shared_prefix {
                 *counts.entry(seed).or_insert(0usize) += 1;
@@ -607,8 +607,8 @@ mod tests {
         let reqs = w.generate(&mut rng(), 2_000);
         // Group by conversation prefix seed; lengths must increase with
         // turn order.
-        let mut by_conv: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
+        let mut by_conv: std::collections::BTreeMap<u64, Vec<usize>> =
+            std::collections::BTreeMap::new();
         for r in &reqs {
             let (seed, len) = r.shared_prefix.unwrap();
             by_conv.entry(seed).or_default().push(len);
