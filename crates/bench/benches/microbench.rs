@@ -136,7 +136,7 @@ fn bench_prompt_tree(c: &mut Criterion) {
     }
     let query = synthetic_tokens(3 * 1000 + 7, 640, 64_000);
     c.bench_function("prompt_tree/match_16te", |b| {
-        b.iter(|| black_box(tree.best_te(&query)))
+        b.iter(|| black_box(tree.walk(&query).best(Some::<TeId>)))
     });
 }
 

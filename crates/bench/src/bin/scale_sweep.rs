@@ -19,7 +19,7 @@
 //! to bound — next to `rtc_blocks`, the KV blocks the run left cached, so
 //! RSS per cached block can be read off a row. Every run shares one
 //! process, and a row's peak RSS includes heap the allocator kept from
-//! earlier runs: the smoke gate's 256-TE row reads about 106 MB, while
+//! earlier runs: the smoke gate's 256-TE row reads 83-102 MB, while
 //! the same run peaks at 61 MB in a fresh process.
 //!
 //! Run: `cargo run --release -p deepserve-bench --bin scale_sweep`
@@ -34,7 +34,8 @@
 //! requests) and exits non-zero
 //! unless all reports match, fast-forward achieves at least the
 //! single-step iteration rate on the small configuration and 0.9x of it
-//! on the 256-TE one, and the streamed run stays under a fixed RSS
+//! on the 256-TE one (the median of seven rounds that alternate which
+//! strategy runs first), and the streamed run stays under a fixed RSS
 //! budget. A full run also snapshots the results to
 //! `BENCH_scale.json` at the repo root to track the perf trajectory.
 #![expect(
@@ -55,7 +56,7 @@ use workloads::ScaleTrace;
 /// the trace would defeat the memory bound the configuration measures.
 const MAT_LIMIT: usize = 1 << 18;
 /// RSS ceiling for the smoke gate's large streamed run, in megabytes.
-/// 256 TEs x 65k requests reads about 106 MB after the earlier runs of the
+/// 256 TEs x 65k requests reads 83-102 MB after the earlier runs of the
 /// smoke grid. Sizing the block pools by modelled KV capacity instead of
 /// the blocks in use, or a heap allocation per cached block (the radix
 /// tree's old child maps), each pushes it past this.
@@ -65,6 +66,12 @@ const SMOKE_RSS_BUDGET_MB: f64 = 128.0;
 /// arrival bounds its windows), so the two strategies cost about the
 /// same there and the floor leaves room for host noise.
 const SMOKE_PARITY: [(usize, f64); 2] = [(4, 1.0), (256, 0.9)];
+/// Timing rounds on a parity-gated smoke configuration. The gate reads
+/// the median of the rounds' single-step / fast-forward wall ratios, and
+/// every other round runs the strategies in reverse order, so neither one
+/// slow run nor a drift in host speed decides it. Best-of-3 rounds with
+/// fast-forward always first read 0.85-1.10 at 256 TEs on a 2-core host.
+const PARITY_ROUNDS: usize = 7;
 
 /// TE role layout of a configuration.
 #[derive(Clone, Copy)]
@@ -130,8 +137,9 @@ struct Combo {
     requests: usize,
     output_tokens: u32,
     users: usize,
-    /// Single-step wall / fast-forward wall; `None` when the single-step
-    /// run was skipped by the wall budget.
+    /// Median over timing rounds of single-step wall / fast-forward wall
+    /// within the round; `None` when the single-step run was skipped by
+    /// the wall budget.
     speedup_ff: Option<f64>,
     /// Single-step events / fast-forward events.
     event_reduction: Option<f64>,
@@ -250,12 +258,18 @@ fn print_row(r: &Row) {
 /// Runs one configuration under every applicable strategy; returns its
 /// rows and the cross-strategy comparison.
 fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) {
-    // Timing repetitions: best-of-3 absorbs scheduler/allocator noise on
-    // the small configurations, and on every smoke configuration, whose
-    // parity gates would otherwise compare single runs (one 256-TE run's
-    // wall time spread 2.4-3.3 s on a 2-core host). A full sweep runs its
-    // big configurations once: repeating them would dominate the sweep.
-    let reps = if gc.requests < 1 << 16 || smoke { 3 } else { 1 };
+    // Timing rounds: three absorb scheduler/allocator noise on the small
+    // configurations and the ungated smoke one; the parity-gated smoke
+    // configurations take PARITY_ROUNDS (one 256-TE run's wall time spread
+    // 2.4-3.3 s on a 2-core host). A full sweep runs its big
+    // configurations once: repeating them would dominate the sweep.
+    let reps = if smoke && SMOKE_PARITY.iter().any(|&(tes, _)| tes == gc.tes) {
+        PARITY_ROUNDS
+    } else if gc.requests < 1 << 16 || smoke {
+        3
+    } else {
+        1
+    };
     // Above MAT_LIMIT the trace is never materialized — the configuration
     // exists to demonstrate O(in-flight) memory — so the fast-forward
     // baseline streams too.
@@ -286,20 +300,34 @@ fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) 
             "    [single_step skipped: predicted {predicted_ss_ms:.0} ms > budget {max_wall_ms:.0} ms]"
         );
     }
-    // Further repetitions take turns across the strategies, so a drift in
-    // the host's speed slows all of them alike.
-    for _ in 1..reps {
-        for (b, &(mode, ff, streamed)) in best.iter_mut().zip(&strategies) {
+    // Further rounds take turns across the strategies, so a drift in the
+    // host's speed slows all of them alike; every other round runs them in
+    // reverse, so no strategy always goes first. Past the third round, a
+    // gated configuration times only the two strategies the gate compares
+    // (the streamed row stays a best of three, as its RSS gate expects).
+    let last = strategies.len() - 1;
+    let mut speedups = vec![best[last].row.wall_ms / best[0].row.wall_ms];
+    for round in 1..reps {
+        let mut walls = vec![0.0; strategies.len()];
+        for i in 0..strategies.len() {
+            let i = if round % 2 == 1 { last - i } else { i };
+            if round >= 3 && i != 0 && i != last {
+                continue;
+            }
+            let (mode, ff, streamed) = strategies[i];
             let r = run_one(gc, mode, ff, streamed);
-            if r.row.wall_ms < b.row.wall_ms {
-                b.row = r.row;
+            walls[i] = r.row.wall_ms;
+            if r.row.wall_ms < best[i].row.wall_ms {
+                best[i].row = r.row;
             }
         }
+        speedups.push(walls[last] / walls[0]);
     }
+    speedups.sort_by(f64::total_cmp);
 
     let rows: Vec<Row> = best.iter().map(|b| b.row.clone()).collect();
-    let (ff, ss) = (&rows[0], run_ss.then(|| &rows[rows.len() - 1]));
-    let speedup_ff = ss.map(|ss| ss.wall_ms / ff.wall_ms);
+    let (ff, ss) = (&rows[0], run_ss.then(|| &rows[last]));
+    let speedup_ff = ss.map(|_| speedups[speedups.len() / 2]);
     let event_reduction = ss.map(|ss| ss.events_processed as f64 / ff.events_processed as f64);
     let reports: Vec<String> = best.into_iter().map(|b| b.report_json).collect();
 
@@ -499,17 +527,16 @@ fn main() {
         std::process::exit(1);
     }
     if smoke {
-        // Parity gates: fast-forward must keep up with single-step.
+        // Parity gates: fast-forward must keep up with single-step. Both
+        // retire the same logical iterations, so the ratio of their
+        // iteration rates is the inverse ratio of their walls.
         for (tes, floor) in SMOKE_PARITY {
-            let rate = |mode: &str| {
-                sweep
-                    .rows
-                    .iter()
-                    .find(|r| r.mode == mode && r.tes == tes)
-                    .map(|r| r.iters_per_sec)
-                    .expect("smoke grid runs both strategies on each gated config")
-            };
-            let ratio = rate("fast_forward") / rate("single_step");
+            let ratio = sweep
+                .pairs
+                .iter()
+                .find(|p| p.tes == tes)
+                .and_then(|p| p.speedup_ff)
+                .expect("smoke grid runs both strategies on each gated config");
             println!(
                 "parity at {tes} TEs: fast-forward / single-step = {ratio:.2} (floor {floor})"
             );

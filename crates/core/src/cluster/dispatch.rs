@@ -181,9 +181,13 @@ impl ClusterSim {
         let pacing = self.current_pacing();
         let mut events = std::mem::take(&mut self.events_scratch);
         events.clear();
-        self.te_mut(te_id)
-            .engine
-            .advance_paced(now, pacing, &mut events);
+        // Every `EngineStats` change happens inside `advance_paced`.
+        let engine = &mut self.te_mut(te_id).engine;
+        let before = engine.stats();
+        engine.advance_paced(now, pacing, &mut events);
+        let after = engine.stats();
+        self.engine_total -= before;
+        self.engine_total += after;
         for ev in events.drain(..) {
             self.on_engine_event(now, te_id, ev);
         }

@@ -254,6 +254,7 @@ impl ClusterSim {
             self.salvaged_counters.add(k, v);
         }
         self.tes[idx].prior_busy += old.stats().busy;
+        self.engine_total -= old.stats();
         self.salvaged_traces
             .push((format!("te{idx}"), old.take_trace()));
 

@@ -35,7 +35,8 @@ use crate::prompt_tree::TeId;
 use faults::FaultLayer;
 use fleet::FleetState;
 use flowserve::{
-    DistFlow, Engine, EngineConfig, EngineEvent, EngineMode, NewRequest, PopulateTicket, RequestId,
+    DistFlow, Engine, EngineConfig, EngineEvent, EngineMode, EngineStats, NewRequest,
+    PopulateTicket, RequestId,
 };
 use ingress::{Ingress, LiveState};
 use llm_model::{ExecCostModel, ModelSpec, Parallelism};
@@ -187,6 +188,9 @@ pub struct ClusterSim {
     events_processed: u64,
     /// Reused engine-event buffer for `on_wake`.
     events_scratch: Vec<EngineEvent>,
+    /// Every live engine's statistics summed: `on_wake` adds each advance's
+    /// change, and a repair takes out the engine it discards.
+    engine_total: EngineStats,
     /// Fault injection and recovery (inert until `install_faults`).
     faults: FaultLayer,
     /// Traces salvaged from engines replaced by repairs.
@@ -305,6 +309,7 @@ impl ClusterSim {
             event_budget: 200_000_000,
             events_processed: 0,
             events_scratch: Vec::new(),
+            engine_total: EngineStats::default(),
             faults: FaultLayer::default(),
             salvaged_traces: Vec::new(),
             salvaged_counters: Counters::new(),
@@ -415,6 +420,11 @@ impl ClusterSim {
     /// a livelock.
     pub fn run_to_completion(&mut self) -> RunReport {
         self.drive(None);
+        debug_assert_eq!(
+            self.engine_total,
+            self.engine_stats_sum(),
+            "running engine statistics out of step with the engines"
+        );
         self.report()
     }
 

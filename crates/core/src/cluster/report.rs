@@ -146,21 +146,20 @@ impl ClusterSim {
         self.failed
     }
 
-    /// Sum of every live engine's statistics (benches/diagnostics). The
-    /// `iterations` total counts logical iterations, so it is invariant
-    /// under fast-forward — a useful cross-check that macro-stepping did
-    /// the same work.
+    /// Sum of every live engine's statistics (benches/diagnostics), kept
+    /// as a running total so reading it is O(1). The `iterations` total
+    /// counts logical iterations, so it is invariant under fast-forward — a
+    /// useful cross-check that macro-stepping did the same work.
     pub fn engine_stats_total(&self) -> flowserve::EngineStats {
+        self.engine_total
+    }
+
+    /// The running total's oracle: every live engine's statistics summed
+    /// afresh.
+    pub(super) fn engine_stats_sum(&self) -> flowserve::EngineStats {
         let mut total = flowserve::EngineStats::default();
         for te in &self.tes {
-            let s = te.engine.stats();
-            total.iterations += s.iterations;
-            total.busy += s.busy;
-            total.output_tokens += s.output_tokens;
-            total.finished += s.finished;
-            total.preemptions += s.preemptions;
-            total.ff_windows += s.ff_windows;
-            total.ff_iterations += s.ff_iterations;
+            total += te.engine.stats();
         }
         total
     }

@@ -27,10 +27,10 @@
 use crate::api::ApiRequest;
 use crate::heatmap::Heatmap;
 use crate::predictor::DecodePredictor;
-use crate::prompt_tree::{GlobalPromptTree, TeId};
+use crate::prompt_tree::{GlobalPromptTree, TeId, Walk};
 use simcore::trace::{Trace, TraceLevel, Tracer};
 use simcore::{Counters, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Scheduling policy selector (the Figure 6 comparison set plus ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,22 +304,6 @@ impl LoadIndex {
         }
     }
 
-    /// `select_tes_prefix_match` over one walk's per-TE matches: the
-    /// routable member of `g` with the longest match, ties to the lowest
-    /// TeId; `None` when no member matches.
-    fn best_match(&self, g: Group, matches: &BTreeMap<TeId, usize>) -> Option<Target> {
-        let mut best: Option<(usize, Target)> = None;
-        // Ascending TeId with a strict comparison: the lowest id keeps a tie.
-        for (&te, &tokens) in matches {
-            if best.is_none_or(|(b, _)| tokens > b) {
-                if let Some(t) = self.target_in(g, te) {
-                    best = Some((tokens, t));
-                }
-            }
-        }
-        best.map(|(_, t)| t)
-    }
-
     /// Round-robin slot `cursor` over the routable colocated TEs in id
     /// order, then the routable pairs in configuration order. O(n), for a
     /// policy no workload runs at scale.
@@ -575,14 +559,15 @@ impl JobExecutor {
     }
 
     fn locality_only(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
-        let colocated = self.tree_colocated.match_tokens(&req.prompt);
-        let (target, matches) = match self.index.best_match(Group::Colocated, &colocated) {
-            Some(t) => (t, colocated),
+        let index = &self.index;
+        let colocated = self.tree_colocated.walk(&req.prompt);
+        let (target, walk) = match colocated.best(|te| index.target_in(Group::Colocated, te)) {
+            Some((t, _)) => (t, colocated),
             None => {
-                let prefill = self.tree_prefill.match_tokens(&req.prompt);
-                let target = match self.index.best_match(Group::Pairs, &prefill) {
-                    Some(t) => t,
-                    None => self.index.least_loaded()?,
+                let prefill = self.tree_prefill.walk(&req.prompt);
+                let target = match prefill.best(|te| index.target_in(Group::Pairs, te)) {
+                    Some((t, _)) => t,
+                    None => index.least_loaded()?,
                 };
                 match target {
                     Target::Colocated(_) => (target, colocated),
@@ -591,7 +576,7 @@ impl JobExecutor {
             }
         };
         self.counters.incr("je.locality");
-        Some(Self::decision(target, predicted, 0.0, &matches))
+        Some(Self::decision(target, predicted, 0.0, &walk))
     }
 
     fn pd_then_load(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
@@ -606,16 +591,21 @@ impl JobExecutor {
     /// choice and the decision's matched tokens.
     fn combined(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
         let (group, heat) = self.select_tes_pd_heatmap(req, predicted);
-        let matches = self.tree(group).match_tokens(&req.prompt);
         let (_, least) = self.index.head(group)?;
-        let target = if self.index.spread(group) <= self.balance_threshold {
-            self.counters.incr("je.combined_locality");
-            self.index.best_match(group, &matches).unwrap_or(least)
+        let balanced = self.index.spread(group) <= self.balance_threshold;
+        self.counters.incr(if balanced {
+            "je.combined_locality"
         } else {
-            self.counters.incr("je.combined_load");
+            "je.combined_load"
+        });
+        let walk = self.tree(group).walk(&req.prompt);
+        let target = if balanced {
+            let pick = |te| self.index.target_in(group, te);
+            walk.best(pick).map_or(least, |(t, _)| t)
+        } else {
             least
         };
-        Some(Self::decision(target, predicted, heat, &matches))
+        Some(Self::decision(target, predicted, heat, &walk))
     }
 
     // ---- Algorithm 1 helpers ----
@@ -669,22 +659,17 @@ impl JobExecutor {
             Target::Colocated(_) => Group::Colocated,
             Target::Disaggregated { .. } => Group::Pairs,
         };
-        let matches = self.tree(group).match_tokens(&req.prompt);
-        Self::decision(target, predicted, heat, &matches)
+        let walk = self.tree(group).walk(&req.prompt);
+        Self::decision(target, predicted, heat, &walk)
     }
 
-    /// `matches` must come from the walk of `target`'s group's tree.
-    fn decision(
-        target: Target,
-        predicted: u32,
-        heat: f64,
-        matches: &BTreeMap<TeId, usize>,
-    ) -> Decision {
+    /// `walk` must be of `target`'s group's tree.
+    fn decision(target: Target, predicted: u32, heat: f64, walk: &Walk<'_>) -> Decision {
         Decision {
             target,
             predicted_decode: predicted,
             heat,
-            matched_tokens: matches.get(&target.locality_te()).copied().unwrap_or(0),
+            matched_tokens: walk.depth(target.locality_te()),
         }
     }
 }

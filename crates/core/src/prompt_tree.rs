@@ -7,10 +7,21 @@
 //! The shared index is the chained block hash the TE-local RTC radix tree
 //! uses ([`flowserve::rtc::chain_hash`]), so a prefix cached on a TE and a
 //! prompt arriving at the JE agree on identity without shipping tokens
-//! around. The global tree stores,
-//! per prefix level, which TEs hold it and when it was last refreshed —
-//! enough to answer "which TE has the longest common prefix for this
-//! request" (`select_tes_prefix_match`).
+//! around. The global tree stores, per prefix level, which TEs hold it and
+//! when each last refreshed it. A decision walks the prompt's levels once
+//! ([`GlobalPromptTree::walk`]) and reads from that one walk both the TE
+//! with the longest common prefix (`select_tes_prefix_match`,
+//! [`Walk::best`]) and a chosen TE's match length ([`Walk::depth`]).
+//!
+//! Both reads rest on one invariant: every TE's levels are
+//! *ancestor-closed*. A TE holding a level also holds every shallower
+//! level on that level's path, refreshed no earlier. `insert` touches every
+//! ancestor of a level at the same `now`, and the JE inserts in
+//! non-decreasing sim time (debug builds assert it), so no level is ever
+//! younger than a level below it. `prune` drops every level aged at or
+//! below a cutoff, so it never keeps a level whose parent it drops;
+//! `remove_te` drops a TE from every level at once. So a TE's match length
+//! is the depth of the deepest matched level that lists it.
 
 use flowserve::rtc::chain_hash;
 use flowserve::TokenId;
@@ -21,16 +32,67 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct TeId(pub u32);
 
+/// A TE holding a prefix level, and when it last refreshed the level.
+/// Packed to 12 bytes: at 256 TEs a level can list most of the group, and
+/// the aligned pair would pad to 16.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
+struct Holder {
+    te: TeId,
+    at: SimTime,
+}
+
+/// One prefix level's holders in ascending `TeId` order. Most levels have
+/// one holder; a shared context has up to one per TE of the group.
+type Holders = Vec<Holder>;
+
 /// The global prompt tree for one TE group.
 #[derive(Debug)]
 pub struct GlobalPromptTree {
     block_size: usize,
-    /// prefix chain hash -> (TE -> last refresh time). Both layers are
-    /// `BTreeMap`s: match/prune/remove all iterate, and the results feed
-    /// scheduling decisions — order must be the keys', not a hasher's.
-    levels: BTreeMap<u64, BTreeMap<TeId, SimTime>>,
+    /// Prefix chain hash -> that level's holders. A hash index measured
+    /// faster but raised codegen-pd's peak RSS past its bound (DESIGN.md
+    /// §"JE global prompt tree").
+    levels: BTreeMap<u64, Holders>,
     /// Soft capacity; pruning keeps roughly this many entries.
     capacity: usize,
+}
+
+/// One prompt's path down a [`GlobalPromptTree`]: the holder lists of its
+/// matched levels, root-most first, up to the first level no TE holds.
+#[derive(Debug)]
+pub struct Walk<'a> {
+    block_size: usize,
+    levels: Vec<&'a [Holder]>,
+}
+
+impl Walk<'_> {
+    /// `select_tes_prefix_match` over the TEs `pick` accepts: the deepest
+    /// level with an accepted holder, the lowest accepted `TeId` there (as
+    /// `pick` maps it), and that level's depth in tokens. By ancestor
+    /// closure that is the accepted TE with the longest match, ties to the
+    /// lowest id. `None` when no matched level has an accepted holder.
+    pub fn best<T>(&self, mut pick: impl FnMut(TeId) -> Option<T>) -> Option<(T, usize)> {
+        self.levels
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(i, holders)| {
+                let t = holders.iter().find_map(|h| pick(h.te))?;
+                Some((t, (i + 1) * self.block_size))
+            })
+    }
+
+    /// `te`'s longest matched prefix in tokens: how many leading levels
+    /// hold it, times the block size (0 when it holds none).
+    pub fn depth(&self, te: TeId) -> usize {
+        let held = self
+            .levels
+            .iter()
+            .take_while(|h| h.binary_search_by_key(&te, |h| h.te).is_ok())
+            .count();
+        held * self.block_size
+    }
 }
 
 impl GlobalPromptTree {
@@ -49,57 +111,56 @@ impl GlobalPromptTree {
     }
 
     /// Records that `te` now caches the full-block prefixes of `tokens`
-    /// (called when a TE reports a finished prefill insertion).
+    /// (called when a TE reports a finished prefill insertion). Calls must
+    /// come in non-decreasing `now`: ancestor closure rests on it.
     pub fn insert(&mut self, now: SimTime, te: TeId, tokens: &[TokenId]) {
         let mut hash = 0u64;
         for block in tokens.chunks_exact(self.block_size) {
             hash = chain_hash(hash, block);
-            self.levels.entry(hash).or_default().insert(te, now);
+            let holders = self
+                .levels
+                .entry(hash)
+                .or_insert_with(|| Vec::with_capacity(1));
+            match holders.binary_search_by_key(&te, |h| h.te) {
+                Ok(i) => {
+                    debug_assert!(
+                        { holders[i].at } <= now,
+                        "prompt tree refreshed back in time"
+                    );
+                    holders[i].at = now;
+                }
+                Err(i) => holders.insert(i, Holder { te, at: now }),
+            }
         }
         if self.levels.len() > self.capacity {
-            self.prune(now);
+            self.prune();
         }
     }
 
-    /// Longest matched prefix per TE, in tokens. TEs with no match are
-    /// absent.
-    pub fn match_tokens(&self, tokens: &[TokenId]) -> BTreeMap<TeId, usize> {
-        let mut depth: BTreeMap<TeId, usize> = BTreeMap::new();
+    /// Walks `tokens`' full-block prefixes down the tree, stopping at the
+    /// first level no TE holds.
+    pub fn walk(&self, tokens: &[TokenId]) -> Walk<'_> {
+        let mut levels = Vec::new();
         let mut hash = 0u64;
-        let mut level = 0usize;
         for block in tokens.chunks_exact(self.block_size) {
             hash = chain_hash(hash, block);
             let Some(holders) = self.levels.get(&hash) else {
                 break;
             };
-            level += 1;
-            for &te in holders.keys() {
-                let d = depth.entry(te).or_insert(0);
-                // Contiguity: only extend a TE's depth if it held every
-                // shallower level too.
-                if *d == (level - 1) * self.block_size {
-                    *d = level * self.block_size;
-                }
-            }
+            levels.push(holders.as_slice());
         }
-        depth.retain(|_, &mut d| d > 0);
-        depth
-    }
-
-    /// The TE with the longest common prefix for `tokens`, with the match
-    /// length; ties broken by lowest TE id (deterministic).
-    pub fn best_te(&self, tokens: &[TokenId]) -> Option<(TeId, usize)> {
-        self.match_tokens(tokens)
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        Walk {
+            block_size: self.block_size,
+            levels,
+        }
     }
 
     /// Forgets everything a TE held (scale-down, crash, cache reset).
     pub fn remove_te(&mut self, te: TeId) {
-        for holders in self.levels.values_mut() {
-            holders.remove(&te);
-        }
-        self.levels.retain(|_, h| !h.is_empty());
+        self.levels.retain(|_, holders| {
+            holders.retain(|h| h.te != te);
+            !holders.is_empty()
+        });
     }
 
     /// Entry count (prefix levels tracked).
@@ -112,19 +173,16 @@ impl GlobalPromptTree {
         self.levels.is_empty()
     }
 
-    /// Drops the stalest half of the entries (called on overflow). An
+    /// Drops the stalest half of the entries (called on overflow): every
+    /// level whose newest refresh is at or below the median level's. An
     /// approximation of the TEs' own LRU behaviour; the global tree is a
     /// hint structure and may safely under-report.
-    fn prune(&mut self, _now: SimTime) {
-        let mut ages: Vec<SimTime> = self
-            .levels
-            .values()
-            .map(|h| h.values().copied().max().unwrap_or(SimTime::ZERO))
-            .collect();
-        ages.sort_unstable();
-        let cutoff = ages[ages.len() / 2];
-        self.levels
-            .retain(|_, h| h.values().copied().max().unwrap_or(SimTime::ZERO) > cutoff);
+    fn prune(&mut self) {
+        let age = |h: &Holders| h.iter().map(|h| h.at).max().unwrap_or(SimTime::ZERO);
+        let mut ages: Vec<SimTime> = self.levels.values().map(age).collect();
+        let mid = ages.len() / 2;
+        let cutoff = *ages.select_nth_unstable(mid).1;
+        self.levels.retain(|_, h| age(h) > cutoff);
     }
 }
 
@@ -139,6 +197,11 @@ mod tests {
         synthetic_tokens(seed, n, 64_000)
     }
 
+    /// The TE with the longest match for `tokens` and its length.
+    fn best_te(t: &GlobalPromptTree, tokens: &[TokenId]) -> Option<(TeId, usize)> {
+        t.walk(tokens).best(Some)
+    }
+
     #[test]
     fn routes_to_te_with_longest_prefix() {
         let mut t = GlobalPromptTree::new(B, 10_000);
@@ -150,18 +213,37 @@ mod tests {
         // A prompt extending `long` matches TE 1 deepest.
         let mut prompt = long.clone();
         prompt.extend(toks(3, 32));
-        let (best, len) = t.best_te(&prompt).unwrap();
+        let (best, len) = best_te(&t, &prompt).unwrap();
         assert_eq!(best, TeId(1));
         assert_eq!(len, 128);
-        let m = t.match_tokens(&prompt);
-        assert_eq!(m[&TeId(0)], 64);
+        assert_eq!(t.walk(&prompt).depth(TeId(0)), 64);
+    }
+
+    #[test]
+    fn best_skips_holders_pick_rejects() {
+        let mut t = GlobalPromptTree::new(B, 10_000);
+        let shared = toks(1, 64);
+        let mut long = shared.clone();
+        long.extend(toks(2, 64));
+        t.insert(SimTime::ZERO, TeId(2), &shared);
+        t.insert(SimTime::ZERO, TeId(0), &shared);
+        t.insert(SimTime::ZERO, TeId(1), &long);
+        let walk = t.walk(&long);
+        // TE 1 matches deepest but is rejected: the next level up wins,
+        // at its lowest accepted id.
+        let pick = |te: TeId| (te != TeId(1)).then_some(te);
+        assert_eq!(walk.best(pick), Some((TeId(0), 64)));
+        let pick = |te: TeId| (te == TeId(2)).then_some(te);
+        assert_eq!(walk.best(pick), Some((TeId(2), 64)));
+        assert_eq!(walk.best(|_| None::<TeId>), None);
     }
 
     #[test]
     fn no_match_for_unseen_prompt() {
         let mut t = GlobalPromptTree::new(B, 10_000);
         t.insert(SimTime::ZERO, TeId(0), &toks(1, 64));
-        assert!(t.best_te(&toks(99, 64)).is_none());
+        assert!(best_te(&t, &toks(99, 64)).is_none());
+        assert_eq!(t.walk(&toks(99, 64)).depth(TeId(0)), 0);
     }
 
     #[test]
@@ -170,7 +252,7 @@ mod tests {
         let p = toks(1, 64);
         t.insert(SimTime::ZERO, TeId(3), &p);
         t.insert(SimTime::ZERO, TeId(1), &p);
-        assert_eq!(t.best_te(&p).unwrap().0, TeId(1));
+        assert_eq!(best_te(&t, &p).unwrap().0, TeId(1));
     }
 
     #[test]
@@ -191,7 +273,7 @@ mod tests {
 
         let mut t = GlobalPromptTree::new(B, 10_000);
         t.insert(SimTime::ZERO, TeId(0), &prompt);
-        let global_match = t.best_te(&prompt).unwrap().1;
+        let global_match = best_te(&t, &prompt).unwrap().1;
         assert_eq!(engine_match, global_match);
     }
 
@@ -201,9 +283,10 @@ mod tests {
         t.insert(SimTime::ZERO, TeId(0), &toks(1, 64));
         t.insert(SimTime::ZERO, TeId(1), &toks(1, 32));
         t.remove_te(TeId(0));
-        let m = t.match_tokens(&toks(1, 64));
-        assert_eq!(m.get(&TeId(0)), None);
-        assert_eq!(m[&TeId(1)], 32);
+        let walk = t.walk(&toks(1, 64));
+        assert_eq!(walk.depth(TeId(0)), 0);
+        assert_eq!(walk.depth(TeId(1)), 32);
+        assert_eq!(t.len(), 2, "levels only TE 0 held are gone");
     }
 
     #[test]
@@ -214,20 +297,23 @@ mod tests {
         }
         assert!(t.len() <= 64 * 2, "tree must stay bounded: {}", t.len());
         // Recent inserts survive pruning.
-        assert!(t.best_te(&toks(99, 64)).is_some());
+        assert!(best_te(&t, &toks(99, 64)).is_some());
+    }
+
+    #[test]
+    fn holder_is_12_bytes() {
+        assert_eq!(std::mem::size_of::<Holder>(), 12);
     }
 
     #[test]
     fn contiguity_is_required() {
         let mut t = GlobalPromptTree::new(B, 10_000);
         let p = toks(1, 64);
-        // TE 0 holds only the deep prefix entry (simulate a partial
-        // insert): insert full, then fake-remove the first level by
-        // removing the TE and re-inserting only deeper content is not
-        // directly expressible; instead check that a TE holding an
-        // unrelated deep block does not get credit.
         t.insert(SimTime::ZERO, TeId(0), &p[..32]);
-        let m = t.match_tokens(&p);
-        assert_eq!(m[&TeId(0)], 32, "match stops at what TE 0 holds");
+        assert_eq!(
+            t.walk(&p).depth(TeId(0)),
+            32,
+            "match stops at what TE 0 holds"
+        );
     }
 }

@@ -1,18 +1,21 @@
 //! Property-based tests for platform-layer invariants: the distributed
-//! scheduler, the heatmap, the autoscaler, and the scaling cost model.
+//! scheduler and its global prompt tree, the heatmap, the autoscaler, and
+//! the scaling cost model.
 
 use deepserve::{
     ApiRequest, AutoscaleSignal, Autoscaler, AutoscalerConfig, Decision, GlobalPromptTree, Heatmap,
     JobExecutor, LoadPath, Oracle, Policy, ScaleAction, ScalingModel, ScalingOptimizations,
     SourceLoad, Target, TeId,
 };
+use flowserve::rtc::chain_hash;
 use flowserve::{synthetic_tokens, TokenId};
 use llm_model::{Checkpoint, ModelSpec, Parallelism};
 use npu::pagecache::FileId;
 use npu::specs::ClusterSpec;
 use proptest::prelude::*;
-use simcore::{Counters, SimTime};
+use simcore::{Counters, SimDuration, SimTime};
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 const POLICIES: [Policy; 5] = [
     Policy::RoundRobin,
@@ -51,6 +54,95 @@ fn pooled_je(policy: Policy, n_coloc: usize, n_pairs: usize, loads: &[usize]) ->
     je
 }
 
+/// The global prompt tree the JE's holder-list tree replaced, kept as its
+/// oracle: per level a `BTreeMap` of holders, and a match that credits each
+/// TE level by level while it stays contiguous from the root.
+struct OracleTree {
+    block_size: usize,
+    /// prefix chain hash -> (TE -> last refresh time).
+    levels: BTreeMap<u64, BTreeMap<TeId, SimTime>>,
+    /// Soft capacity; pruning keeps roughly this many entries.
+    capacity: usize,
+}
+
+impl OracleTree {
+    fn new(block_size: usize, capacity: usize) -> Self {
+        OracleTree {
+            block_size,
+            levels: BTreeMap::new(),
+            capacity: capacity.max(16),
+        }
+    }
+
+    fn insert(&mut self, now: SimTime, te: TeId, tokens: &[TokenId]) {
+        let mut hash = 0u64;
+        for block in tokens.chunks_exact(self.block_size) {
+            hash = chain_hash(hash, block);
+            self.levels.entry(hash).or_default().insert(te, now);
+        }
+        if self.levels.len() > self.capacity {
+            self.prune();
+        }
+    }
+
+    /// Longest matched prefix per TE, in tokens. TEs with no match are
+    /// absent.
+    fn match_tokens(&self, tokens: &[TokenId]) -> BTreeMap<TeId, usize> {
+        let mut depth: BTreeMap<TeId, usize> = BTreeMap::new();
+        let mut hash = 0u64;
+        let mut level = 0usize;
+        for block in tokens.chunks_exact(self.block_size) {
+            hash = chain_hash(hash, block);
+            let Some(holders) = self.levels.get(&hash) else {
+                break;
+            };
+            level += 1;
+            for &te in holders.keys() {
+                let d = depth.entry(te).or_insert(0);
+                // Contiguity: only extend a TE's depth if it held every
+                // shallower level too.
+                if *d == (level - 1) * self.block_size {
+                    *d = level * self.block_size;
+                }
+            }
+        }
+        depth.retain(|_, &mut d| d > 0);
+        depth
+    }
+
+    /// The TE with the longest common prefix for `tokens`, with the match
+    /// length; ties broken by lowest TE id.
+    fn best_te(&self, tokens: &[TokenId]) -> Option<(TeId, usize)> {
+        self.match_tokens(tokens)
+            .into_iter()
+            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+    }
+
+    fn remove_te(&mut self, te: TeId) {
+        for holders in self.levels.values_mut() {
+            holders.remove(&te);
+        }
+        self.levels.retain(|_, h| !h.is_empty());
+    }
+
+    fn len(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Drops the stalest half of the entries (called on overflow).
+    fn prune(&mut self) {
+        let mut ages: Vec<SimTime> = self
+            .levels
+            .values()
+            .map(|h| h.values().copied().max().unwrap_or(SimTime::ZERO))
+            .collect();
+        ages.sort_unstable();
+        let cutoff = ages[ages.len() / 2];
+        self.levels
+            .retain(|_, h| h.values().copied().max().unwrap_or(SimTime::ZERO) > cutoff);
+    }
+}
+
 /// The brute-force scan the JE's load index replaced, restated over plain
 /// `Vec`s: every decision rebuilds the routable groups and rescans them.
 struct Reference {
@@ -60,7 +152,7 @@ struct Reference {
     loads: Vec<usize>,
     removed: Vec<bool>,
     /// Global prompt trees: colocated, prefill.
-    trees: [GlobalPromptTree; 2],
+    trees: [OracleTree; 2],
     rr: usize,
     counters: Counters,
 }
@@ -184,7 +276,74 @@ fn prompt(k: usize) -> Vec<TokenId> {
     p
 }
 
+/// Twelve prompts in a three-level family: two 64-token bases, four
+/// 32-token middles (each under one base), then a 16-48 token tail of
+/// their own; 40 distinct levels in all.
+fn family_prompt(k: usize) -> Vec<TokenId> {
+    let mut p = synthetic_tokens(1 + k as u64 % 2, 64, 64_000);
+    p.extend(synthetic_tokens(20 + k as u64 % 4, 32, 64_000));
+    p.extend(synthetic_tokens(40 + k as u64, 16 * (1 + k % 3), 64_000));
+    p
+}
+
 proptest! {
+    /// The holder-list prompt tree against the oracle tree it replaced:
+    /// random inserts (whole prompts and prefixes) at non-decreasing times,
+    /// TE removals, and prunes at a capacity the 40 levels overflow. After
+    /// every step the level counts agree; for every prompt and TE, `depth`
+    /// equals the oracle's match; and under a random accept mask `best`
+    /// equals the brute-force pick over the oracle's matches.
+    #[test]
+    fn prompt_tree_matches_oracle(
+        capacity in 0usize..48,
+        ops in prop::collection::vec((0usize..8, 0usize..12, 0u32..5, 0u64..3, 1usize..10), 1..120),
+        masks in prop::collection::vec(0u8..32, 120),
+    ) {
+        let mut tree = GlobalPromptTree::new(16, capacity);
+        let mut oracle = OracleTree::new(16, capacity);
+        let mut now = SimTime::ZERO;
+        for (step, &(kind, k, te, gap, blocks)) in ops.iter().enumerate() {
+            let te = TeId(te);
+            now += SimDuration::from_nanos(gap);
+            match kind {
+                0..=4 => {
+                    let p = family_prompt(k);
+                    // Half the inserts cache only a prefix, ending mid-block.
+                    let cut = if kind % 2 == 0 { p.len() } else { (16 * blocks + 5).min(p.len()) };
+                    tree.insert(now, te, &p[..cut]);
+                    oracle.insert(now, te, &p[..cut]);
+                }
+                5 => {
+                    tree.remove_te(te);
+                    oracle.remove_te(te);
+                }
+                _ => {
+                    let p = family_prompt(k);
+                    let walk = tree.walk(&p);
+                    let matches = oracle.match_tokens(&p);
+                    prop_assert_eq!(walk.best(Some), oracle.best_te(&p), "step {}", step);
+                    let accept = |t: TeId| masks[step] & (1 << t.0) != 0;
+                    let want = matches
+                        .iter()
+                        .filter(|&(&t, _)| accept(t))
+                        .max_by_key(|&(&t, &d)| (d, Reverse(t)))
+                        .map(|(&t, &d)| (t, d));
+                    prop_assert_eq!(walk.best(|t| accept(t).then_some(t)), want, "step {}", step);
+                }
+            }
+            prop_assert_eq!(tree.len(), oracle.len(), "levels after step {}", step);
+            for k in 0..12 {
+                let p = family_prompt(k);
+                let walk = tree.walk(&p);
+                let matches = oracle.match_tokens(&p);
+                for t in 0..5 {
+                    let want = matches.get(&TeId(t)).copied().unwrap_or(0);
+                    prop_assert_eq!(walk.depth(TeId(t)), want, "prompt {} TE {} step {}", k, t, step);
+                }
+            }
+        }
+    }
+
     /// The JE's load index against the brute-force scan it replaced: random
     /// pools (some pairs sharing a decode TE), random load / removal /
     /// re-admission / cache reports, every policy. Every decision and every
@@ -196,6 +355,7 @@ proptest! {
         decode_pick in prop::collection::vec(0usize..4, 4),
         id_keys in prop::collection::vec(any::<u64>(), 16),
         ops in prop::collection::vec((0usize..10, 0usize..16, 0usize..12, any::<bool>()), 1..60),
+        gaps in prop::collection::vec(0u64..3, 60),
     ) {
         let policy = POLICIES[policy_idx];
         let (n_coloc, n_prefill) = shape;
@@ -224,12 +384,15 @@ proptest! {
             // One id past the pool: reports about it must be ignored.
             loads: vec![0; n + 1],
             removed: vec![false; n + 1],
-            trees: [GlobalPromptTree::new(16, 200_000), GlobalPromptTree::new(16, 200_000)],
+            trees: [OracleTree::new(16, 200_000), OracleTree::new(16, 200_000)],
             rr: 0,
             counters: Counters::new(),
         };
+        // Cache reports arrive in non-decreasing sim time, often tied.
+        let mut now = SimTime::ZERO;
         for (step, &(kind, a, b, flag)) in ops.iter().enumerate() {
             let te = TeId((a % (n + 1)) as u32);
+            now += SimDuration::from_nanos(gaps[step]);
             match kind {
                 0..=2 => {
                     je.set_load(te, b);
@@ -248,12 +411,12 @@ proptest! {
                 }
                 5 | 6 => {
                     let tokens = prompt(b % 6);
-                    je.note_cached(SimTime::ZERO, te, flag, &tokens);
-                    reference.trees[usize::from(flag)].insert(SimTime::ZERO, te, &tokens);
+                    je.note_cached(now, te, flag, &tokens);
+                    reference.trees[usize::from(flag)].insert(now, te, &tokens);
                 }
                 _ => {
                     let req = ApiRequest::chat(step as u64, prompt(a % 6), 1 + (b % 6) as u32, SimTime::ZERO);
-                    let got = je.schedule(SimTime::ZERO, &req);
+                    let got = je.schedule(now, &req);
                     prop_assert_eq!(got, reference.schedule(&req), "{:?} step {}", policy, step);
                 }
             }

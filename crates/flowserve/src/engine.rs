@@ -32,6 +32,7 @@ use llm_model::{BatchWork, ExecCostModel};
 use simcore::trace::{SpanId, Trace, TraceLevel, Tracer};
 use simcore::{Counters, RequestLatency, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
+use std::ops::{AddAssign, SubAssign};
 
 /// What the engine reports back to its driver.
 #[derive(Debug, Clone)]
@@ -136,8 +137,9 @@ struct Iteration {
     iterations: u64,
 }
 
-/// Aggregate engine statistics.
-#[derive(Debug, Clone, Copy, Default)]
+/// Aggregate engine statistics. `+=` and `-=` work field by field, so a
+/// running total over several engines can take one engine's change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Iterations executed.
     pub iterations: u64,
@@ -155,6 +157,30 @@ pub struct EngineStats {
     /// Iterations absorbed into fast-forward windows (a subset of
     /// `iterations`). Telemetry only.
     pub ff_iterations: u64,
+}
+
+impl AddAssign for EngineStats {
+    fn add_assign(&mut self, s: EngineStats) {
+        self.iterations += s.iterations;
+        self.busy += s.busy;
+        self.output_tokens += s.output_tokens;
+        self.finished += s.finished;
+        self.preemptions += s.preemptions;
+        self.ff_windows += s.ff_windows;
+        self.ff_iterations += s.ff_iterations;
+    }
+}
+
+impl SubAssign for EngineStats {
+    fn sub_assign(&mut self, s: EngineStats) {
+        self.iterations -= s.iterations;
+        self.busy -= s.busy;
+        self.output_tokens -= s.output_tokens;
+        self.finished -= s.finished;
+        self.preemptions -= s.preemptions;
+        self.ff_windows -= s.ff_windows;
+        self.ff_iterations -= s.ff_iterations;
+    }
 }
 
 /// The FlowServe engine (one TE's serving core).
