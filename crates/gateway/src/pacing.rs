@@ -72,7 +72,9 @@ impl Pacer {
         }
     }
 
-    /// A short fixed sleep for idle polling (no pending sim event).
+    /// A short fixed sleep: the serve loop's poll while a request is half
+    /// read or the loop drains with no sim event pending (an idle loop
+    /// blocks in `accept` instead), and a blocked write's backoff.
     pub fn sleep_brief() {
         std::thread::sleep(Duration::from_millis(1));
     }

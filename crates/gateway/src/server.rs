@@ -5,8 +5,11 @@
 //! One thread does everything — accept, read, parse, submit, step the sim,
 //! stream tokens — so clippy's thread bans hold in this crate with no
 //! waivers.
-//! Sockets are non-blocking; the loop paces itself with
-//! [`crate::pacing::Pacer`], the workspace's only wall-clock site.
+//! Sockets are non-blocking. Between passes the loop sleeps until the next
+//! sim event is due ([`crate::pacing::Pacer`], the workspace's only
+//! wall-clock site); with no sim event pending and no request half read,
+//! it blocks in `accept` instead, bounded by `WAIT_CAP_MS`, so a new
+//! connection wakes it at once (DESIGN.md "Serving façade", "Idle wait").
 //!
 //! Endpoints:
 //! * `POST /v1/completions` — blocking JSON, or SSE when `"stream": true`
@@ -26,6 +29,14 @@ use serde::{Number, Value};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
+use std::time::Duration;
+
+/// The loop's wait cap in wall milliseconds: a paced sleep is cut at it,
+/// and an idle wait in `accept` times out after it (the listener's
+/// receive timeout, rounded up to kernel ticks), so the loop still checks
+/// its wall deadline while no client comes.
+const WAIT_CAP_MS: u64 = 2;
 
 /// Gateway configuration.
 #[derive(Debug, Clone)]
@@ -145,6 +156,8 @@ pub struct Server {
     sessions: SessionTable,
     tokenizer: Tokenizer,
     conns: Vec<Option<Conn>>,
+    /// Empty slots of `conns`, reused before `conns` grows.
+    free_slots: Vec<usize>,
     /// Request id -> connection slot. Point-lookup only (never iterated).
     waiters: HashMap<u64, usize>,
     next_req_id: u64,
@@ -160,6 +173,16 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("cannot set listener non-blocking: {e}"))?;
+        // Bound the idle wait's blocking `accept` (Linux honours
+        // SO_RCVTIMEO there). The option is set through a dup of the
+        // socket and stays on the socket when the dup closes.
+        listener
+            .try_clone()
+            .and_then(|dup| {
+                TcpStream::from(OwnedFd::from(dup))
+                    .set_read_timeout(Some(Duration::from_millis(WAIT_CAP_MS)))
+            })
+            .map_err(|e| format!("cannot set the listener's accept timeout: {e}"))?;
         let mut sim = if cfg.fleet_models > 0 {
             build_fleet_sim(cfg.tes, cfg.fleet_models)
         } else {
@@ -177,6 +200,7 @@ impl Server {
             sessions,
             tokenizer: Tokenizer::default(),
             conns: Vec::new(),
+            free_slots: Vec::new(),
             waiters: HashMap::new(),
             next_req_id: 1,
             served: 0,
@@ -218,9 +242,12 @@ impl Server {
                 break;
             }
             // Sleep until the next sim event is due on the wall clock,
-            // capped so new connections stay responsive.
+            // capped so new connections stay responsive. An idle sim waits
+            // for the next connection instead; a half-read request is
+            // polled, and a draining loop accepts nothing.
             match self.sim.next_event_time() {
-                Some(next) => self.pacer.sleep_until_sim(next, 2),
+                Some(next) => self.pacer.sleep_until_sim(next, WAIT_CAP_MS),
+                None if !draining && !self.any_reading() => self.wait_for_connection(),
                 None => Pacer::sleep_brief(),
             }
         }
@@ -236,25 +263,57 @@ impl Server {
     fn accept_new(&mut self) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // peer already gone
-                    }
-                    let conn = Conn {
-                        stream,
-                        buf: Vec::new(),
-                        state: ConnState::Reading,
-                    };
-                    if let Some(slot) = self.conns.iter().position(Option::is_none) {
-                        self.conns[slot] = Some(conn);
-                    } else {
-                        self.conns.push(Some(conn));
-                    }
-                }
+                Ok((stream, _)) => self.admit(stream),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(_) => break, // transient accept error; retry next tick
             }
         }
+    }
+
+    /// Blocks in `accept` until a client connects or the listener's
+    /// receive timeout (`WAIT_CAP_MS`, rounded up to kernel ticks) runs
+    /// out, and admits the client. The listener is non-blocking again on
+    /// every path out.
+    fn wait_for_connection(&mut self) {
+        if self.listener.set_nonblocking(false).is_err() {
+            Pacer::sleep_brief();
+            return;
+        }
+        let accepted = self.listener.accept();
+        // If this fails the listener stays blocking, and each `accept_new`
+        // pass ends in one timed-out wait instead of `WouldBlock`.
+        let _ = self.listener.set_nonblocking(true);
+        match accepted {
+            Ok((stream, _)) => self.admit(stream),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            // EMFILE and the like return at once: sleep so the loop does
+            // not spin on them.
+            Err(_) => Pacer::sleep_brief(),
+        }
+    }
+
+    /// Makes `stream` non-blocking and files it in a free slot.
+    fn admit(&mut self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return; // peer already gone
+        }
+        let conn = Conn {
+            stream,
+            buf: Vec::new(),
+            state: ConnState::Reading,
+        };
+        match self.free_slots.pop() {
+            Some(slot) => self.conns[slot] = Some(conn),
+            None => self.conns.push(Some(conn)),
+        }
+    }
+
+    /// Whether a connection is still sending its request.
+    fn any_reading(&self) -> bool {
+        self.conns
+            .iter()
+            .flatten()
+            .any(|conn| matches!(conn.state, ConnState::Reading))
     }
 
     fn read_conns(&mut self) {
@@ -515,6 +574,7 @@ impl Server {
             if let ConnState::Pending(p) = conn.state {
                 self.waiters.remove(&p.req_id);
             }
+            self.free_slots.push(slot);
             // Socket closes on drop.
         }
     }

@@ -1,7 +1,8 @@
 //! Boundary tests for the gateway over real loopback TCP: malformed
 //! requests, truncated reads, oversized bodies, unknown routes,
-//! mid-stream disconnects, and concurrent sessions. The server must
-//! answer each with the right status code and keep serving — never panic.
+//! mid-stream disconnects, a client stalled mid-head, concurrent
+//! sessions, and an idle server's wall deadline. The server must answer
+//! each with the right status code and keep serving — never panic.
 #![expect(
     clippy::disallowed_methods,
     reason = "the server runs on its own thread so the test can be its concurrent clients"
@@ -391,4 +392,83 @@ fn max_requests_drains_and_exits_without_shutdown_call() {
     assert_eq!(status_of(&response), 200, "{response}");
     let outcome = handle.join().expect("server exits after max requests");
     assert_eq!(outcome.served, 1);
+}
+
+#[test]
+fn idle_gateway_exits_at_its_wall_deadline() {
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        timescale: 500.0,
+        tes: 2,
+        max_wall_ms: Some(300),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(cfg).expect("bind loopback");
+    let handle = thread::spawn(move || server.run());
+
+    // No client ever connects, so the loop spends the whole run in its
+    // idle wait; that wait must still wake to see the deadline. Poll for
+    // up to 10 s and fail rather than hang if it never does.
+    for _ in 0..1000 {
+        if handle.is_finished() {
+            break;
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        handle.is_finished(),
+        "an idle gateway with a 300 ms wall deadline still ran after 10 s"
+    );
+    let outcome = handle.join().expect("server thread");
+    assert_eq!(outcome.served, 0);
+    assert!(outcome.ingress.is_empty());
+}
+
+#[test]
+fn half_sent_request_does_not_hold_up_other_clients() {
+    let (addr, handle) = start(None);
+
+    // Client A sends its request line and half a header, then stalls.
+    let body = r#"{"prompt":"a client that pauses mid-header","max_tokens":3}"#;
+    let raw = format!(
+        "POST /v1/completions HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (head, rest) = raw.split_at(raw.find("Length").expect("header"));
+    let mut stalled = connect(addr);
+    stalled
+        .write_all(head.as_bytes())
+        .expect("write half a head");
+    stalled.flush().expect("flush");
+
+    // Client B's streamed completion runs to [DONE] meanwhile. A connected
+    // first, so the server accepts it no later than B, and A's half head
+    // sits in its socket for all of B's stream.
+    let response = post(
+        addr,
+        "/v1/completions",
+        Some("second-client"),
+        r#"{"prompt":"stream past the stalled client","max_tokens":4,"stream":true}"#,
+    );
+    assert_eq!(status_of(&response), 200, "{response}");
+    assert!(response.ends_with("data: [DONE]\n\n"), "{response}");
+
+    // A finishes its request and is served.
+    stalled.write_all(rest.as_bytes()).expect("write the rest");
+    let mut out = Vec::new();
+    stalled.read_to_end(&mut out).expect("read response");
+    let response = String::from_utf8_lossy(&out);
+    assert_eq!(status_of(&response), 200, "{response}");
+    assert!(response.contains("\"text\""), "{response}");
+
+    shutdown_server(addr);
+    let outcome = handle.join().expect("server thread");
+    assert_eq!(outcome.served, 2);
+    let replayed = log::replay(&outcome.ingress, || build_sim(2))
+        .to_json()
+        .to_json();
+    assert_eq!(
+        replayed, outcome.report_json,
+        "replay must match the live report"
+    );
 }
