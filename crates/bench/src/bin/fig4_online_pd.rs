@@ -101,7 +101,7 @@ fn main() {
                     ("setup".into(), Value::String(name.to_string())),
                     ("rps".into(), Value::Number(Number::F64(rps))),
                     ("trace".into(), report.trace.to_json()),
-                    ("metrics".into(), report.metrics.to_json()),
+                    ("metrics".into(), report.metrics_json()),
                 ]));
             }
             // Fault-free run: empty stats mean a broken setup — fail

@@ -234,12 +234,6 @@ impl ClusterSim {
                     self.counters
                         .add("sim.requeue_cache_hit_tokens", cached_tokens as u64);
                 }
-                let ttft_id = self.metrics.samples("cluster.ttft_ms");
-                self.metrics.record(ttft_id, latency.ttft.as_millis_f64());
-                let tpot_id = self.metrics.samples("cluster.tpot_ms");
-                self.metrics.record(tpot_id, latency.tpot.as_millis_f64());
-                let jct_id = self.metrics.samples("cluster.jct_ms");
-                self.metrics.record(jct_id, latency.jct.as_millis_f64());
                 self.latency.record(latency);
                 self.completed += 1;
                 self.last_completion = now;

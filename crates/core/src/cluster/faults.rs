@@ -305,8 +305,8 @@ impl ClusterSim {
         };
         let outage = now.since(failed_at.unwrap_or(now));
         self.counters.incr("cluster.repaired");
-        let lat_id = self.metrics.samples("cluster.repair_latency_ms");
-        self.metrics.record(lat_id, outage.as_millis_f64());
+        self.metrics
+            .record("cluster.repair_latency_ms", outage.as_millis_f64());
         if self.tracer.is_enabled() {
             self.tracer.event(
                 now,

@@ -380,8 +380,8 @@ impl ClusterSim {
         };
         self.counters.incr("fleet.cold_starts");
         self.counters.incr(tier_load_counter(tier));
-        let cs_id = self.metrics.samples("fleet.cold_start_ms");
-        self.metrics.record(cs_id, total_time.as_millis_f64());
+        self.metrics
+            .record("fleet.cold_start_ms", total_time.as_millis_f64());
 
         let targets = targets
             .iter()
@@ -457,8 +457,8 @@ impl ClusterSim {
                 continue;
             };
             let wait = now.since(req.arrival);
-            let wid = self.metrics.samples("fleet.cold_wait_ms");
-            self.metrics.record(wid, wait.as_millis_f64());
+            self.metrics
+                .record("fleet.cold_wait_ms", wait.as_millis_f64());
             self.counters.incr(tier_sla_counter(load.tier, wait <= sla));
             self.dispatch(now, idx);
         }

@@ -228,8 +228,8 @@ impl ClusterSim {
                 );
             }
             let depth: usize = self.tes.iter().map(|t| t.engine.queue_len()).sum();
-            let qid = self.metrics.series("cluster.queue_depth");
-            self.metrics.record_at(qid, now, depth as f64);
+            self.metrics
+                .record_at("cluster.queue_depth", now, depth as f64);
         }
         self.submitted += 1;
         self.dispatch(now, idx);

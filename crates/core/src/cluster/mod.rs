@@ -383,9 +383,10 @@ impl ClusterSim {
     }
 
     /// Events processed so far across all `run_to_completion` and
-    /// `step_until` calls (also surfaced as the `sim.events_processed`
-    /// counter metric). A lifetime total; the event budget does not
-    /// apply to it.
+    /// `step_until` calls. A lifetime total; the event budget does not
+    /// apply to it. No report renders it: it measures how the simulator
+    /// ran (fast-forward processes fewer events than single-stepping for
+    /// the same outcome), not what the simulation produced.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -448,11 +449,6 @@ impl ClusterSim {
             );
         }
         self.events_processed += processed;
-        // Meta-metric: measures simulator execution, not simulated outcome.
-        // `RunReport::to_json` filters it so fast-forward stays
-        // bit-comparable against single-stepping.
-        let id = self.metrics.counter("sim.events_processed");
-        self.metrics.add(id, processed);
     }
 
     fn handle(&mut self, now: SimTime, ev: Event) {

@@ -1,6 +1,6 @@
 //! The run report: merged traces, every component's counters folded into
-//! the metrics registry, and the progress accessors tests and frontends
-//! poll.
+//! the metrics registry, the one renderer of the `metrics` section, and
+//! the progress accessors tests and frontends poll.
 
 use super::*;
 
@@ -16,15 +16,16 @@ pub struct RunReport {
     pub failed: u64,
     /// Event counters.
     pub counters: Counters,
-    /// Per-TE busy time (includes busy time salvaged from engines that
-    /// were replaced by a repair).
-    pub te_busy: Vec<(TeId, SimDuration)>,
     /// Merged sim-time trace (empty unless [`ClusterSim::enable_tracing`]
     /// was called). Components: `cluster`, `je`, `distflow`, `te<N>`, `rtc`.
     pub trace: Trace,
-    /// Named metrics: counters from every component plus `cluster.ttft_ms`
-    /// / `cluster.tpot_ms` / `cluster.jct_ms` samples and the
-    /// `cluster.queue_depth` series.
+    /// Named metrics: counters from every component, the
+    /// `cluster.te_busy_s` (per-TE busy time, including time salvaged from
+    /// engines a repair replaced), `cluster.repair_latency_ms` and
+    /// `fleet.cold_*_ms` samples, and, in traced runs only, the
+    /// `cluster.queue_depth` series. The TTFT/TPOT/JCT samples are not
+    /// here: `latency` is their one store, and
+    /// [`RunReport::metrics_json`] renders them as `cluster.*_ms` entries.
     pub metrics: MetricsRegistry,
 }
 
@@ -37,7 +38,8 @@ impl RunReport {
     /// Renders the report as a deterministic JSON value (the trace is
     /// excluded — compare it separately via `trace.to_json()`). Keys and
     /// counter entries come out in a fixed order, so two bit-identical runs
-    /// produce byte-identical JSON.
+    /// produce byte-identical JSON, and rendering one report twice gives
+    /// the same bytes twice.
     pub fn to_json(&mut self) -> serde::Value {
         use serde::{Serialize, Value};
         let counters: Vec<(String, Value)> = self
@@ -45,14 +47,7 @@ impl RunReport {
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_value()))
             .collect();
-        // `sim.events_processed` measures how the simulator executed (it
-        // legitimately differs between fast-forward and single-stepping),
-        // not what the simulation produced — keep it out of the
-        // replay-comparable surface.
-        let mut metrics = self.metrics.to_json();
-        if let Value::Object(entries) = &mut metrics {
-            entries.retain(|(k, _)| k != "sim.events_processed");
-        }
+        let metrics = self.metrics_json();
         Value::Object(vec![
             ("completed".to_string(), self.latency.completed().to_value()),
             ("failed".to_string(), self.failed.to_value()),
@@ -67,6 +62,44 @@ impl RunReport {
             ("metrics".to_string(), metrics),
         ])
     }
+
+    /// The report's `metrics` section: the registry's entries plus
+    /// `latency`'s samples as `cluster.{ttft,tpot,jct}_ms`, sorted by
+    /// name. [`ClusterSim::metrics_snapshot_json`] renders through the
+    /// same code.
+    pub fn metrics_json(&mut self) -> serde::Value {
+        render_metrics(&mut self.metrics, &mut self.latency)
+    }
+}
+
+/// Renders a `metrics` section: the registry's entries plus the TTFT, TPOT
+/// and JCT distributions of `latency`, their one store, as the
+/// `cluster.ttft_ms`, `cluster.tpot_ms` and `cluster.jct_ms` samples
+/// entries. [`RunReport::to_json`] and [`ClusterSim::metrics_snapshot_json`]
+/// (`GET /metrics`) both render through here. The latency entries appear
+/// only once a request has completed, and every entry comes out sorted by
+/// name.
+fn render_metrics(metrics: &mut MetricsRegistry, latency: &mut LatencyStats) -> serde::Value {
+    let mut json = metrics.to_json();
+    if latency.completed() == 0 {
+        return json;
+    }
+    if let serde::Value::Object(entries) = &mut json {
+        let [ttft, tpot, jct] = latency.samples_mut();
+        for (name, samples) in [
+            ("cluster.ttft_ms", ttft),
+            ("cluster.tpot_ms", tpot),
+            ("cluster.jct_ms", jct),
+        ] {
+            let at = entries.partition_point(|(k, _)| k.as_str() < name);
+            debug_assert!(
+                entries.get(at).is_none_or(|(k, _)| k != name),
+                "{name} has a second store in the registry"
+            );
+            entries.insert(at, (name.to_string(), samples.to_json()));
+        }
+    }
+    json
 }
 
 impl ClusterSim {
@@ -105,35 +138,29 @@ impl ClusterSim {
 
         let mut metrics = std::mem::take(&mut self.metrics);
         self.import_counters(&mut metrics);
-        let te_busy: Vec<(TeId, SimDuration)> = self
-            .tes
-            .iter()
-            .map(|t| (t.id, t.prior_busy + t.engine.stats().busy))
-            .collect();
-        let busy_id = metrics.samples("cluster.te_busy_s");
-        for &(_, busy) in &te_busy {
-            metrics.record(busy_id, busy.as_secs_f64());
+        for t in &self.tes {
+            let busy = t.prior_busy + t.engine.stats().busy;
+            metrics.record("cluster.te_busy_s", busy.as_secs_f64());
         }
         RunReport {
             latency,
             makespan,
             failed: self.failed,
             counters: self.counters.clone(),
-            te_busy,
             trace,
             metrics,
         }
     }
 
-    /// A point-in-time JSON snapshot of the metrics registry with every
-    /// component's counters folded in — the `/metrics` endpoint. Works on
-    /// a clone: `Summary` computation sorts sample values in place, and
-    /// perturbing the registry's internal order mid-run would break the
-    /// live-vs-replay byte identity of the final report.
+    /// A point-in-time JSON snapshot of the report's `metrics` section so
+    /// far, with every component's counters folded in — the `/metrics`
+    /// endpoint. Works on clones: `import_counters` adds into the registry
+    /// it is given, so folding into the live one would count every
+    /// counter again in the final report.
     pub fn metrics_snapshot_json(&self) -> serde::Value {
         let mut snap = self.metrics.clone();
         self.import_counters(&mut snap);
-        snap.to_json()
+        render_metrics(&mut snap, &mut self.latency.clone())
     }
 
     /// Completed / submitted counts (for progress checks in tests).

@@ -10,9 +10,12 @@
 //! table below in the same commit and say why.
 
 use deepserve::{
-    fleet_catalog, materialize_fleet_trace, materialize_trace, stream_trace, ClusterConfig,
-    ClusterSim, ColdStartMode, FaultRecoveryConfig, FleetConfig, Policy, RunReport, TeRole,
+    fleet_catalog, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest,
+    ClusterConfig, ClusterSim, ColdStartMode, FaultRecoveryConfig, FleetConfig, Policy, RunReport,
+    TeRole,
 };
+use flowserve::synthetic_tokens;
+use serde::Value;
 use simcore::{FaultPlan, SimDuration, SimRng, SimTime};
 use workloads::{ChatTrace, FleetTrace, ScaleTrace};
 
@@ -26,8 +29,35 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Renders `report` and checks what every report must keep: a second
+/// render gives the same bytes, `completed` counts the TTFT samples, and
+/// each top-level latency section equals the summary of its
+/// `metrics["cluster.*_ms"]` entry whenever that entry exists.
 fn render(mut report: RunReport) -> String {
-    report.to_json().to_json()
+    let json = report.to_json();
+    let text = json.to_json();
+    assert_eq!(report.to_json().to_json(), text, "a second render moved");
+    let count = |v: Option<&Value>| v.and_then(|v| v.get("count")).and_then(Value::as_u64);
+    assert_eq!(
+        json.get("completed").and_then(Value::as_u64),
+        count(json.get("ttft_ms")),
+        "completed is the TTFT sample count"
+    );
+    for (top, entry) in [
+        ("ttft_ms", "cluster.ttft_ms"),
+        ("tpot_ms", "cluster.tpot_ms"),
+        ("jct_ms", "cluster.jct_ms"),
+    ] {
+        let rendered = json.get("metrics").and_then(|m| m.get(entry));
+        if let Some(summary) = rendered.and_then(|e| e.get("summary")) {
+            assert_eq!(
+                json.get(top).map(Value::to_json),
+                Some(summary.to_json()),
+                "{top} differs from {entry}"
+            );
+        }
+    }
+    text
 }
 
 fn combined() -> ClusterConfig {
@@ -180,6 +210,24 @@ fn fleet_faulted() -> String {
     )
 }
 
+/// Every request names a model the one-model fleet does not hold, so each
+/// fails on arrival and nothing completes: the top-level latency
+/// distributions render `count: 0` with nulls, and `metrics` has no
+/// `cluster.*_ms` entry.
+fn nothing_completes() -> String {
+    let mut sim = ClusterSim::new(combined(), &[TeRole::Colocated, TeRole::Colocated]);
+    sim.enable_fleet(fleet_catalog(1), FleetConfig::default());
+    sim.inject(
+        (0..3)
+            .map(|i| {
+                ApiRequest::chat(i, synthetic_tokens(i, 64, 64_000), 8, SimTime::from_secs(i))
+                    .with_model(7)
+            })
+            .collect(),
+    );
+    exercised(sim.run_to_completion(), &["fleet.unknown_model"])
+}
+
 /// A named configuration, its runner, and its recorded digest.
 type Case = (&'static str, fn() -> String, u64);
 
@@ -194,7 +242,11 @@ type Case = (&'static str, fn() -> String, u64);
 /// `pd_faulted` and `fleet_faulted` were recorded at a3c26e1, before
 /// `cluster.rs` was split by concern, to pin the fault paths the split
 /// moves.
-const CASES: [Case; 8] = [
+///
+/// `nothing_completes` was recorded at b413858, before the TTFT/TPOT/JCT
+/// samples lost their second store in the metrics registry, to pin that
+/// a run with no completion renders no `cluster.*_ms` entry.
+const CASES: [Case; 9] = [
     (
         "colocated_materialized",
         colocated_materialized,
@@ -207,6 +259,11 @@ const CASES: [Case; 8] = [
     ("live_replayed", live_replayed, 0xd937_472e_0e0b_2c32),
     ("pd_faulted", pd_faulted, 0x564d_a926_b0ed_055d),
     ("fleet_faulted", fleet_faulted, 0xca0e_5e50_f769_0218),
+    (
+        "nothing_completes",
+        nothing_completes,
+        0x8ed9_1ca5_510f_ba29,
+    ),
 ];
 
 #[test]

@@ -1,8 +1,11 @@
 //! Acceptance test for the observability layer: the per-request lifecycle
 //! events in a traced cluster run must reconstruct the *same* TTFT/TPOT
 //! distribution that the report's `LatencyStats` accumulated on the side.
-//! This is what makes a `--trace` dump trustworthy — the trace is not a
-//! parallel approximation of the run, it IS the run.
+//! `LatencyStats` is the one store of those samples: the report's
+//! top-level `ttft_ms`/`tpot_ms` and its `metrics["cluster.*_ms"]` entries
+//! both render from it (`report_digest.rs` checks they agree). This is
+//! what makes a `--trace` dump trustworthy — the trace is not a parallel
+//! approximation of the run, it IS the run.
 
 use std::collections::BTreeMap;
 
@@ -99,14 +102,6 @@ fn traced_run_reconstructs_report_latency() {
     assert!(close(tt.p50, tr.p50), "tpot p50 {} vs {}", tt.p50, tr.p50);
     assert!(close(tt.p90, tr.p90), "tpot p90 {} vs {}", tt.p90, tr.p90);
     assert!(close(tt.p99, tr.p99), "tpot p99 {} vs {}", tt.p99, tr.p99);
-
-    // The registry's sample metrics are fed from the same stream.
-    let m = report
-        .metrics
-        .summary("cluster.ttft_ms")
-        .expect("registered");
-    assert_eq!(m.count, rr.count);
-    assert!(close(m.p90, rr.p90));
 }
 
 /// A traced run must be byte-identical in outcome to an untraced one:

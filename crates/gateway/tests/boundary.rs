@@ -1,8 +1,9 @@
 //! Boundary tests for the gateway over real loopback TCP: malformed
 //! requests, truncated reads, oversized bodies, unknown routes,
 //! mid-stream disconnects, a client stalled mid-head, concurrent
-//! sessions, and an idle server's wall deadline. The server must answer
-//! each with the right status code and keep serving — never panic.
+//! sessions, a mid-run `/metrics` read, and an idle server's wall
+//! deadline. The server must answer each with the right status code and
+//! keep serving — never panic.
 #![expect(
     clippy::disallowed_methods,
     reason = "the server runs on its own thread so the test can be its concurrent clients"
@@ -378,6 +379,52 @@ fn fleet_gateway_cold_starts_and_reports_load_states() {
         replayed.counters
     );
     assert_eq!(replayed.to_json().to_json(), outcome.report_json);
+}
+
+/// `GET /metrics` renders the live run's `metrics` section: no latency
+/// entry before a completion, one sample after it, and reading it leaves
+/// the run's report as replay makes it.
+#[test]
+fn metrics_endpoint_snapshots_the_live_run() {
+    let (addr, handle) = start(None);
+    let metrics = || {
+        let response = roundtrip(addr, b"GET /metrics HTTP/1.1\r\n\r\n");
+        assert_eq!(status_of(&response), 200, "{response}");
+        let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        serde::Value::parse(body).unwrap_or_else(|e| panic!("{e}: {body:?}"))
+    };
+    let field = |v: &serde::Value, path: &[&str]| {
+        path.iter()
+            .try_fold(v, |v, k| v.get(k))
+            .and_then(serde::Value::as_u64)
+    };
+
+    let before = metrics();
+    assert!(before.get("cluster.ttft_ms").is_none(), "{before:?}");
+
+    let response = post(
+        addr,
+        "/v1/completions",
+        None,
+        r#"{"prompt":"count me once","max_tokens":3}"#,
+    );
+    assert_eq!(status_of(&response), 200, "{response}");
+    let after = metrics();
+    assert_eq!(
+        field(&after, &["cluster.ttft_ms", "summary", "count"]),
+        Some(1)
+    );
+    assert_eq!(field(&after, &["sim.completed", "value"]), Some(1));
+
+    shutdown_server(addr);
+    let outcome = handle.join().expect("server thread");
+    let replayed = log::replay(&outcome.ingress, || build_sim(2))
+        .to_json()
+        .to_json();
+    assert_eq!(
+        replayed, outcome.report_json,
+        "a /metrics read perturbed the live report"
+    );
 }
 
 #[test]

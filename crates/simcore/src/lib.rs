@@ -40,7 +40,7 @@ pub mod trace;
 pub use event::{Clock, EventQueue, Lane, CLASS_ARRIVAL, CLASS_DEFAULT};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{
-    Counters, LatencyStats, MetricId, MetricsRegistry, RequestLatency, Samples, Summary, TimeSeries,
+    Counters, LatencyStats, MetricsRegistry, RequestLatency, Samples, Summary, TimeSeries,
 };
 pub use resource::{FifoChannel, FlowId, SharedLink};
 pub use rng::SimRng;

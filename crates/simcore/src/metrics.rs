@@ -14,11 +14,26 @@ use std::fmt;
 ///
 /// Simulation runs produce at most a few million samples, so keeping the raw
 /// values and sorting on demand is both exact and fast enough; sortedness is
-/// cached and invalidated on insert.
-#[derive(Debug, Clone, Default)]
+/// cached and invalidated on insert. The sum is kept in recording order, so
+/// the mean does not depend on whether a percentile query sorted the values
+/// before it: a summary gives the same bits however often it is taken.
+#[derive(Debug, Clone)]
 pub struct Samples {
     values: Vec<f64>,
+    sum: f64,
     sorted: bool,
+}
+
+impl Default for Samples {
+    fn default() -> Self {
+        Samples {
+            values: Vec::new(),
+            // Where `Sum for f64` starts, so `mean` equals
+            // `values.iter().sum() / n` over the recording order bit for bit.
+            sum: -0.0,
+            sorted: false,
+        }
+    }
 }
 
 impl Samples {
@@ -37,6 +52,7 @@ impl Samples {
         debug_assert!(value.is_finite(), "Samples::record: non-finite {value}");
         if value.is_finite() {
             self.values.push(value);
+            self.sum += value;
             self.sorted = false;
         }
     }
@@ -51,12 +67,12 @@ impl Samples {
         self.values.is_empty()
     }
 
-    /// Mean, or `None` if empty.
+    /// Mean in recording order, or `None` if empty.
     pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
             None
         } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
+            Some(self.sum / self.values.len() as f64)
         }
     }
 
@@ -120,6 +136,26 @@ impl Samples {
     /// Read-only view of the raw samples (unsorted order not guaranteed).
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// The registry's JSON record of a distribution: its values, sorted
+    /// by the summary taken first, and that summary.
+    pub fn to_json(&mut self) -> serde::Value {
+        use serde::value::{Number, Value};
+        let summary = self.summary();
+        Value::Object(vec![
+            ("type".to_string(), Value::String("samples".to_string())),
+            (
+                "values".to_string(),
+                Value::Array(
+                    self.values
+                        .iter()
+                        .map(|&x| Value::Number(Number::F64(x)))
+                        .collect(),
+                ),
+            ),
+            ("summary".to_string(), summary.to_value()),
+        ])
     }
 }
 
@@ -256,7 +292,6 @@ pub struct LatencyStats {
     tpot_ms: Samples,
     jct_ms: Samples,
     total_output_tokens: u64,
-    completed: u64,
 }
 
 impl LatencyStats {
@@ -271,12 +306,11 @@ impl LatencyStats {
         self.tpot_ms.record(lat.tpot.as_millis_f64());
         self.jct_ms.record(lat.jct.as_millis_f64());
         self.total_output_tokens += lat.output_tokens;
-        self.completed += 1;
     }
 
     /// Number of completed requests recorded.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.ttft_ms.len() as u64
     }
 
     /// Total output tokens across all recorded requests.
@@ -297,6 +331,11 @@ impl LatencyStats {
     /// JCT distribution in milliseconds.
     pub fn jct_ms(&mut self) -> Summary {
         self.jct_ms.summary()
+    }
+
+    /// The raw TTFT, TPOT and JCT samples, in that order.
+    pub fn samples_mut(&mut self) -> [&mut Samples; 3] {
+        [&mut self.ttft_ms, &mut self.tpot_ms, &mut self.jct_ms]
     }
 
     /// Fraction of requests with TPOT at or under `sla`.
@@ -355,7 +394,7 @@ impl Counters {
     }
 }
 
-/// One metric behind a registry handle.
+/// One named metric.
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(u64),
@@ -373,26 +412,20 @@ impl Metric {
     }
 }
 
-/// Handle to a registered metric; cheap to copy and use on hot paths
-/// (index lookup, no hashing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(usize);
-
 /// A named registry unifying the three metric primitives — [`Counters`]-style
-/// counters, [`Samples`] distributions, and [`TimeSeries`] — behind string
-/// names and queryable [`MetricId`] handles, with JSON export/import.
+/// counters, [`Samples`] distributions, and [`TimeSeries`] — in one map
+/// keyed and ordered by name, with JSON export.
 ///
-/// Registration is idempotent: asking for the same name returns the same
-/// handle. Names are namespaced by convention (`engine.`, `rtc.`, `sim.`).
+/// A metric is created by its first record. Names are namespaced by
+/// convention (`engine.`, `rtc.`, `sim.`).
 ///
 /// # Panics
 ///
-/// Re-registering a name as a different metric kind panics — that is a
-/// wiring bug, not a runtime condition.
+/// Recording a name as a different metric kind panics — that is a wiring
+/// bug, not a runtime condition.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    index: BTreeMap<String, usize>,
-    entries: Vec<(String, Metric)>,
+    metrics: BTreeMap<&'static str, Metric>,
 }
 
 impl MetricsRegistry {
@@ -401,76 +434,36 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn register(&mut self, name: &str, make: fn() -> Metric) -> MetricId {
-        if let Some(&i) = self.index.get(name) {
-            let want = make();
-            assert_eq!(
-                self.entries[i].1.kind(),
-                want.kind(),
-                "metric {name:?} already registered as {}",
-                self.entries[i].1.kind()
-            );
-            return MetricId(i);
-        }
-        let i = self.entries.len();
-        self.entries.push((name.to_string(), make()));
-        self.index.insert(name.to_string(), i);
-        MetricId(i)
+    /// The metric named `name`, which starts as `empty` if absent.
+    fn slot(&mut self, name: &'static str, empty: Metric) -> &mut Metric {
+        let want = empty.kind();
+        let metric = self.metrics.entry(name).or_insert(empty);
+        assert_eq!(
+            metric.kind(),
+            want,
+            "metric {name:?} already registered as {}",
+            metric.kind()
+        );
+        metric
     }
 
-    /// Registers (or looks up) a counter.
-    pub fn counter(&mut self, name: &str) -> MetricId {
-        self.register(name, || Metric::Counter(0))
-    }
-
-    /// Registers (or looks up) a sample distribution.
-    pub fn samples(&mut self, name: &str) -> MetricId {
-        self.register(name, || Metric::Samples(Samples::new()))
-    }
-
-    /// Registers (or looks up) a time series.
-    pub fn series(&mut self, name: &str) -> MetricId {
-        self.register(name, || Metric::Series(TimeSeries::new()))
-    }
-
-    /// Adds `n` to a counter handle.
-    pub fn add(&mut self, id: MetricId, n: u64) {
-        match &mut self.entries[id.0].1 {
-            Metric::Counter(v) => *v += n,
-            other => {
-                debug_assert!(false, "MetricsRegistry::add on a {}", other.kind());
-            }
+    /// Records one sample of the distribution `name`.
+    pub fn record(&mut self, name: &'static str, value: f64) {
+        if let Metric::Samples(s) = self.slot(name, Metric::Samples(Samples::new())) {
+            s.record(value);
         }
     }
 
-    /// Increments a counter handle.
-    pub fn incr(&mut self, id: MetricId) {
-        self.add(id, 1);
-    }
-
-    /// Records one sample on a samples handle.
-    pub fn record(&mut self, id: MetricId, value: f64) {
-        match &mut self.entries[id.0].1 {
-            Metric::Samples(s) => s.record(value),
-            other => {
-                debug_assert!(false, "MetricsRegistry::record on a {}", other.kind());
-            }
-        }
-    }
-
-    /// Appends a point to a series handle.
-    pub fn record_at(&mut self, id: MetricId, t: SimTime, value: f64) {
-        match &mut self.entries[id.0].1 {
-            Metric::Series(s) => s.record(t, value),
-            other => {
-                debug_assert!(false, "MetricsRegistry::record_at on a {}", other.kind());
-            }
+    /// Appends a point to the series `name`.
+    pub fn record_at(&mut self, name: &'static str, t: SimTime, value: f64) {
+        if let Metric::Series(s) = self.slot(name, Metric::Series(TimeSeries::new())) {
+            s.record(t, value);
         }
     }
 
     /// Current value of a counter by name (zero if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        match self.index.get(name).map(|&i| &self.entries[i].1) {
+        match self.metrics.get(name) {
             Some(Metric::Counter(v)) => *v,
             _ => 0,
         }
@@ -478,33 +471,19 @@ impl MetricsRegistry {
 
     /// Distribution summary of a samples metric by name.
     pub fn summary(&mut self, name: &str) -> Option<Summary> {
-        let &i = self.index.get(name)?;
-        match &mut self.entries[i].1 {
+        match self.metrics.get_mut(name)? {
             Metric::Samples(s) => Some(s.summary()),
             _ => None,
         }
-    }
-
-    /// Points of a series metric by name.
-    pub fn series_points(&self, name: &str) -> Option<&[(SimTime, f64)]> {
-        let &i = self.index.get(name)?;
-        match &self.entries[i].1 {
-            Metric::Series(s) => Some(s.points()),
-            _ => None,
-        }
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.entries.iter().map(|(n, _)| n.as_str())
     }
 
     /// Copies every counter from a [`Counters`] set into this registry
     /// (added onto any existing values).
     pub fn import_counters(&mut self, counters: &Counters) {
         for (k, v) in counters.iter() {
-            let id = self.counter(k);
-            self.add(id, v);
+            if let Metric::Counter(c) = self.slot(k, Metric::Counter(0)) {
+                *c += v;
+            }
         }
     }
 
@@ -513,38 +492,13 @@ impl MetricsRegistry {
     /// summary; series their `[t_ns, value]` points. Sorted by name.
     pub fn to_json(&mut self) -> serde::Value {
         use serde::value::{Number, Value};
-        let mut out: Vec<(String, Value)> = Vec::new();
-        // Summaries need &mut (percentile sorting); precompute them.
-        let summaries: BTreeMap<String, Summary> = self
-            .entries
-            .iter_mut()
-            .filter_map(|(n, m)| match m {
-                Metric::Samples(s) => Some((n.clone(), s.summary())),
-                _ => None,
-            })
-            .collect();
-        for (name, metric) in &self.entries {
+        let entries = self.metrics.iter_mut().map(|(&name, metric)| {
             let v = match metric {
                 Metric::Counter(c) => Value::Object(vec![
                     ("type".to_string(), Value::String("counter".to_string())),
                     ("value".to_string(), Value::Number(Number::U64(*c))),
                 ]),
-                Metric::Samples(s) => Value::Object(vec![
-                    ("type".to_string(), Value::String("samples".to_string())),
-                    (
-                        "values".to_string(),
-                        Value::Array(
-                            s.values()
-                                .iter()
-                                .map(|&x| Value::Number(Number::F64(x)))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "summary".to_string(),
-                        serde::Serialize::to_value(&summaries[name]),
-                    ),
-                ]),
+                Metric::Samples(s) => s.to_json(),
                 Metric::Series(s) => Value::Object(vec![
                     ("type".to_string(), Value::String("series".to_string())),
                     (
@@ -563,71 +517,9 @@ impl MetricsRegistry {
                     ),
                 ]),
             };
-            out.push((name.clone(), v));
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        serde::Value::Object(out)
-    }
-
-    /// Rebuilds a registry from [`MetricsRegistry::to_json`] output.
-    /// Counter values and series points round-trip exactly; sample values
-    /// round-trip through Rust's shortest-representation float formatting,
-    /// which is bit-exact.
-    pub fn from_json(v: &serde::Value) -> Result<MetricsRegistry, String> {
-        use serde::Value;
-        let Value::Object(entries) = v else {
-            return Err("metrics JSON root must be an object".to_string());
-        };
-        let mut reg = MetricsRegistry::new();
-        for (name, entry) in entries {
-            let kind = entry
-                .get("type")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("metric {name:?}: missing type"))?;
-            match kind {
-                "counter" => {
-                    let val = entry
-                        .get("value")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("metric {name:?}: bad counter value"))?;
-                    let id = reg.counter(name);
-                    reg.add(id, val);
-                }
-                "samples" => {
-                    let vals = entry
-                        .get("values")
-                        .and_then(Value::as_array)
-                        .ok_or_else(|| format!("metric {name:?}: missing values"))?;
-                    let id = reg.samples(name);
-                    for x in vals {
-                        let x = x
-                            .as_f64()
-                            .ok_or_else(|| format!("metric {name:?}: non-numeric sample"))?;
-                        reg.record(id, x);
-                    }
-                }
-                "series" => {
-                    let pts = entry
-                        .get("points")
-                        .and_then(Value::as_array)
-                        .ok_or_else(|| format!("metric {name:?}: missing points"))?;
-                    let id = reg.series(name);
-                    for p in pts {
-                        let t = p
-                            .at(0)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("metric {name:?}: bad point time"))?;
-                        let x = p
-                            .at(1)
-                            .and_then(Value::as_f64)
-                            .ok_or_else(|| format!("metric {name:?}: bad point value"))?;
-                        reg.record_at(id, SimTime::from_nanos(t), x);
-                    }
-                }
-                other => return Err(format!("metric {name:?}: unknown type {other:?}")),
-            }
-        }
-        Ok(reg)
+            (name.to_string(), v)
+        });
+        Value::Object(entries.collect())
     }
 }
 
@@ -715,38 +607,42 @@ mod tests {
     }
 
     #[test]
-    fn registry_handles_are_idempotent_and_queryable() {
+    fn registry_records_by_name_and_exports_sorted() {
         let mut r = MetricsRegistry::new();
-        let c = r.counter("sim.completed");
-        assert_eq!(r.counter("sim.completed"), c, "same name, same handle");
-        r.add(c, 3);
-        r.incr(c);
+        let mut c = Counters::new();
+        c.add("sim.completed", 4);
+        r.import_counters(&c);
         assert_eq!(r.counter_value("sim.completed"), 4);
         assert_eq!(r.counter_value("absent"), 0);
 
-        let s = r.samples("ttft_ms");
-        r.record(s, 10.0);
-        r.record(s, 30.0);
+        r.record("ttft_ms", 10.0);
+        r.record("ttft_ms", 30.0);
         let sum = r.summary("ttft_ms").unwrap();
         assert_eq!(sum.count, 2);
         assert!((sum.mean - 20.0).abs() < 1e-9);
+        assert!(r.summary("sim.completed").is_none(), "not a distribution");
 
-        let ts = r.series("queue_depth");
-        r.record_at(ts, SimTime::ZERO, 1.0);
-        r.record_at(ts, SimTime::from_secs(1), 2.0);
-        assert_eq!(r.series_points("queue_depth").unwrap().len(), 2);
+        r.record_at("queue_depth", SimTime::ZERO, 1.0);
+        r.record_at("queue_depth", SimTime::from_secs(1), 2.0);
+        let json = r.to_json();
+        let serde::Value::Object(entries) = &json else {
+            panic!("registry JSON is an object");
+        };
+        let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["queue_depth", "sim.completed", "ttft_ms"]);
+        let points = json.get("queue_depth").and_then(|q| q.get("points"));
         assert_eq!(
-            r.names().collect::<Vec<_>>(),
-            vec!["sim.completed", "ttft_ms", "queue_depth"]
+            points.and_then(serde::Value::as_array).map(<[_]>::len),
+            Some(2)
         );
     }
 
     #[test]
-    #[should_panic(expected = "already registered")]
+    #[should_panic(expected = "already registered as samples")]
     fn registry_rejects_kind_change() {
         let mut r = MetricsRegistry::new();
-        r.counter("x");
-        r.samples("x");
+        r.record("x", 1.0);
+        r.record_at("x", SimTime::ZERO, 1.0);
     }
 
     #[test]
@@ -755,37 +651,10 @@ mod tests {
         c.add("a", 2);
         c.add("b", 7);
         let mut r = MetricsRegistry::new();
-        let a = r.counter("a");
-        r.add(a, 1);
         r.import_counters(&c);
-        assert_eq!(r.counter_value("a"), 3);
-        assert_eq!(r.counter_value("b"), 7);
-    }
-
-    #[test]
-    fn registry_round_trips_through_json() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("sim.completed");
-        r.add(c, 41);
-        let s = r.samples("ttft_ms");
-        for v in [12.5, 800.0, 0.125, 3.0] {
-            r.record(s, v);
-        }
-        let ts = r.series("kv_blocks");
-        r.record_at(ts, SimTime::from_nanos(17), 1.0);
-        r.record_at(ts, SimTime::from_millis(5), 2.5);
-
-        // record -> export JSON text -> parse -> rebuild -> re-export.
-        let text = r.to_json().to_json();
-        let parsed = serde::Value::parse(&text).unwrap();
-        let mut rebuilt = MetricsRegistry::from_json(&parsed).unwrap();
-        assert_eq!(rebuilt.counter_value("sim.completed"), 41);
-        assert_eq!(rebuilt.summary("ttft_ms").unwrap().count, 4);
-        assert_eq!(
-            rebuilt.series_points("kv_blocks").unwrap(),
-            r.series_points("kv_blocks").unwrap()
-        );
-        assert_eq!(rebuilt.to_json().to_json(), text, "export is a fixed point");
+        r.import_counters(&c);
+        assert_eq!(r.counter_value("a"), 4);
+        assert_eq!(r.counter_value("b"), 14);
     }
 
     #[test]
@@ -809,24 +678,5 @@ mod tests {
         assert!(sum.non_empty().is_some());
         let v = serde::Serialize::to_value(&sum);
         assert_eq!(v.get("mean").and_then(serde::Value::as_f64), Some(2.0));
-    }
-
-    #[test]
-    fn empty_samples_round_trip_through_registry_json() {
-        let mut r = MetricsRegistry::new();
-        r.samples("never.recorded");
-        let text = r.to_json().to_json();
-        assert!(text.contains("null"), "empty stats must export as null");
-        let parsed = serde::Value::parse(&text).unwrap();
-        let mut rebuilt = MetricsRegistry::from_json(&parsed).unwrap();
-        assert_eq!(rebuilt.summary("never.recorded").unwrap().count, 0);
-        assert_eq!(rebuilt.to_json().to_json(), text, "export is a fixed point");
-    }
-
-    #[test]
-    fn registry_from_json_rejects_garbage() {
-        assert!(MetricsRegistry::from_json(&serde::Value::Null).is_err());
-        let bad = serde::Value::parse(r#"{"x": {"type": "gauge"}}"#).unwrap();
-        assert!(MetricsRegistry::from_json(&bad).is_err());
     }
 }

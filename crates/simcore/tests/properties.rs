@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use simcore::{
-    Clock, EventQueue, Lane, Samples, SharedLink, SimDuration, SimRng, SimTime, CLASS_ARRIVAL,
-    CLASS_DEFAULT,
+    Clock, EventQueue, Lane, Samples, SharedLink, SimDuration, SimRng, SimTime, Summary,
+    CLASS_ARRIVAL, CLASS_DEFAULT,
 };
 
 proptest! {
@@ -93,6 +93,25 @@ proptest! {
         prop_assert!(p0 <= p50 && p50 <= p100);
         prop_assert_eq!(p0, s.min().unwrap());
         prop_assert_eq!(p100, s.max().unwrap());
+    }
+
+    /// A summary gives the same bits however often it is taken: its mean is
+    /// the recording-order sum over the count, bit for bit, although the
+    /// first summary's percentiles sorted the values in place.
+    #[test]
+    fn summary_is_repeatable(values in prop::collection::vec(-1e6f64..1e6, 1..500)) {
+        let mut s = Samples::new();
+        for &v in &values {
+            s.record(v);
+        }
+        let bits = |m: Summary| {
+            [m.mean, m.p50, m.p90, m.p95, m.p99, m.min, m.max].map(f64::to_bits)
+        };
+        let (first, second) = (s.summary(), s.summary());
+        prop_assert_eq!(first.count, second.count);
+        prop_assert_eq!(bits(first), bits(second));
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
+        prop_assert_eq!(first.mean.to_bits(), mean.to_bits());
     }
 
     /// Work conservation on a shared link: total busy time equals total
