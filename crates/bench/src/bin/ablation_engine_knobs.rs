@@ -1,12 +1,10 @@
 //! Ablation: engine design knobs.
 //!
-//! Three sweeps over a single colocated engine serving the chat trace:
+//! Two sweeps over the chat trace:
 //!
-//! 1. **chunked-prefill budget** — the TTFT/TPOT trade-off behind §4.2's
-//!    chunk distribution design;
-//! 2. **populate cost model on/off** — §4.2's "fitted cost model to decide
-//!    if reusing the cache is beneficial";
-//! 3. **KV-transfer by-layer overlap vs by-req** — §4.5's "by-req or
+//! 1. **chunked-prefill budget** on a single colocated engine — the
+//!    TTFT/TPOT trade-off behind §4.2's chunk distribution design;
+//! 2. **KV-transfer by-layer overlap vs by-req** — §4.5's "by-req or
 //!    by-layer" choice, measured on a 1P1D pair.
 //!
 //! Run: `cargo run --release -p deepserve-bench --bin ablation_engine_knobs`

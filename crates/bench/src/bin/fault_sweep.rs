@@ -14,9 +14,7 @@
 //!
 //! Run: `cargo run --release -p deepserve-bench --bin fault_sweep`
 
-use deepserve::{
-    materialize_trace, ClusterConfig, ClusterSim, FaultRecoveryConfig, HealthConfig, Policy, TeRole,
-};
+use deepserve::{materialize_trace, ClusterConfig, ClusterSim, HealthConfig, Policy, TeRole};
 use deepserve_bench::{header, write_json};
 use serde::Serialize;
 use simcore::{FaultPlan, SimDuration, SimRng};
@@ -74,14 +72,11 @@ fn run_cell(rate: f64, miss_threshold: u32) -> Cell {
     };
     let mut sim = ClusterSim::new(cfg, &[TeRole::Colocated; N_TES as usize]);
     sim.inject(reqs);
-    let recovery = FaultRecoveryConfig {
-        health: HealthConfig {
-            miss_threshold,
-            ..HealthConfig::default()
-        },
-        ..FaultRecoveryConfig::default()
+    let health = HealthConfig {
+        miss_threshold,
+        ..HealthConfig::default()
     };
-    sim.install_faults(&plan, recovery);
+    sim.install_faults(&plan, health);
     let mut report = sim.run_to_completion();
     let (done, sub) = sim.progress();
     assert_eq!(done + sim.failed(), sub, "conservation in every cell");

@@ -92,21 +92,18 @@ impl ClusterSim {
             }
             Target::Disaggregated { prefill, decode } => {
                 self.counters.incr("sim.routed_disaggregated");
-                self.migrations.stash(decode, new.clone());
+                self.migrations.route(new.id, decode);
                 self.submit_to(now, prefill, new);
             }
         }
     }
 
     /// Parks a request that nothing can serve right now (every candidate
-    /// TE is detected-down) and re-dispatches it after `backoff_cap`.
+    /// TE is detected-down) and re-dispatches it after `BACKOFF_CAP`.
     pub(super) fn defer(&mut self, now: SimTime, idx: u32) {
         self.counters.incr("sim.dispatch_deferred");
         let gen = self.ingress.gen(idx);
-        self.sched(
-            now + self.faults.cfg.backoff_cap,
-            Event::Redispatch(idx, gen),
-        );
+        self.sched(now + faults::BACKOFF_CAP, Event::Redispatch(idx, gen));
     }
 
     pub(super) fn submit_to(&mut self, now: SimTime, te_id: TeId, new: NewRequest) {

@@ -10,37 +10,14 @@ use npu::pagecache::FileId;
 use simcore::fault::{FaultEvent, FaultKind, FaultPlan};
 use std::collections::{HashMap, HashSet};
 
-/// Detection and recovery knobs for fault-injected runs.
-///
-/// Only consulted once [`ClusterSim::install_faults`] arms the fault layer;
-/// fault-free simulations never read these values, which keeps healthy runs
-/// bit-identical to builds without the fault machinery.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultRecoveryConfig {
-    /// Heartbeat cadence and miss threshold for the cluster manager.
-    pub health: HealthConfig,
-    /// Re-dispatch attempts per request before it fails permanently.
-    pub max_retries: u32,
-    /// First re-dispatch backoff; doubles per attempt.
-    pub backoff_base: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_cap: SimDuration,
-    /// Fast-scaling optimizations applied when re-provisioning a dead TE
-    /// (the 5-step pipeline decides the repair latency).
-    pub repair: ScalingOptimizations,
-}
+/// Re-dispatch attempts per request before it fails permanently.
+const MAX_RETRIES: u32 = 5;
 
-impl Default for FaultRecoveryConfig {
-    fn default() -> Self {
-        FaultRecoveryConfig {
-            health: HealthConfig::default(),
-            max_retries: 5,
-            backoff_base: SimDuration::from_millis(100),
-            backoff_cap: SimDuration::from_secs(2),
-            repair: ScalingOptimizations::all(),
-        }
-    }
-}
+/// First re-dispatch backoff; doubles per attempt.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(100);
+
+/// Backoff ceiling.
+pub(super) const BACKOFF_CAP: SimDuration = SimDuration::from_secs(2);
 
 // The hash fields below are point-lookup only (insert/remove/get/
 // contains), and clippy.toml bans iterating them, so hash order cannot
@@ -50,8 +27,6 @@ impl Default for FaultRecoveryConfig {
 /// [`ClusterSim::install_faults`] arms it.
 #[derive(Default)]
 pub(super) struct FaultLayer {
-    /// Recovery knobs (the defaults until a plan is installed).
-    pub(super) cfg: FaultRecoveryConfig,
     /// The installed plan's events, indexed by `Event::Fault`.
     events: Vec<FaultEvent>,
     health: Option<HealthMonitor>,
@@ -89,8 +64,9 @@ impl FaultLayer {
 
 impl ClusterSim {
     /// Arms the fault layer: schedules every event in `plan` into the
-    /// deterministic queue and starts cluster-manager health monitoring.
-    /// A run is then replayable bit-for-bit from `(workload, plan, cfg)`.
+    /// deterministic queue and starts cluster-manager health monitoring
+    /// with `health`'s heartbeat cadence and miss threshold. A run is then
+    /// replayable bit-for-bit from `(workload, plan, health)`.
     ///
     /// An empty plan is a guaranteed no-op — nothing is scheduled, no
     /// health monitoring starts, and the run stays bit-identical to one
@@ -100,7 +76,7 @@ impl ClusterSim {
     /// # Panics
     ///
     /// Panics if the plan names a TE index outside the pool.
-    pub fn install_faults(&mut self, plan: &FaultPlan, cfg: FaultRecoveryConfig) {
+    pub fn install_faults(&mut self, plan: &FaultPlan, health: HealthConfig) {
         if plan.is_empty() {
             return;
         }
@@ -111,18 +87,17 @@ impl ClusterSim {
                 self.tes.len()
             );
         }
-        self.faults.cfg = cfg;
         self.faults.events = plan.events.clone();
         for (i, ev) in plan.events.iter().enumerate() {
             self.sched(ev.at, Event::Fault(i as u32));
         }
-        let mut health = HealthMonitor::new(cfg.health);
+        let mut monitor = HealthMonitor::new(health);
         for te in &self.tes {
-            health.register(te.id, SimTime::ZERO);
+            monitor.register(te.id, SimTime::ZERO);
         }
-        self.faults.health = Some(health);
+        self.faults.health = Some(monitor);
         self.sched(
-            SimTime::ZERO + cfg.health.heartbeat_interval,
+            SimTime::ZERO + health.heartbeat_interval,
             Event::HealthCheck,
         );
     }
@@ -273,22 +248,25 @@ impl ClusterSim {
         self.start_repair(now, te_id);
     }
 
-    /// Provisions a replacement TE via the 5-step fast-scaling pipeline;
-    /// the configured [`ScalingOptimizations`] decide the repair latency.
+    /// Provisions a replacement TE via the 5-step fast-scaling pipeline
+    /// with every optimization on; the pipeline decides the repair latency.
     fn start_repair(&mut self, now: SimTime, te_id: TeId) {
         let model = ScalingModel::new(self.cfg.cluster.clone());
         let ckpt = Checkpoint::new(FileId(1), self.cfg.model.clone());
-        let opts = self.faults.cfg.repair;
-        let path = if opts.npu_fork && self.tes.iter().any(|t| t.alive) {
+        let path = if self.tes.iter().any(|t| t.alive) {
             // Fork weights HBM-to-HBM from a surviving replica.
             LoadPath::NpuForkHccs { fanout: 1 }
-        } else if opts.dram_preload {
-            LoadPath::DramHit
         } else {
-            LoadPath::DramMiss
+            // No replica left: load the DRAM-preloaded checkpoint.
+            LoadPath::DramHit
         };
-        let breakdown =
-            model.breakdown(&ckpt, self.cfg.parallelism, opts, path, SourceLoad::idle());
+        let breakdown = model.breakdown(
+            &ckpt,
+            self.cfg.parallelism,
+            ScalingOptimizations::all(),
+            path,
+            SourceLoad::idle(),
+        );
         breakdown.emit_trace(&mut self.tracer, now);
         self.faults.repairs_pending += 1;
         self.counters.incr("cluster.repairs_started");
@@ -343,15 +321,13 @@ impl ClusterSim {
             *n += 1;
             *n
         };
-        let cfg = self.faults.cfg;
-        if attempts > cfg.max_retries {
+        if attempts > MAX_RETRIES {
             self.note_failed(now, id, "retries_exhausted");
             return;
         }
-        let backoff = cfg
-            .backoff_base
+        let backoff = BACKOFF_BASE
             .saturating_mul(1u64 << (attempts.min(16) - 1))
-            .min(cfg.backoff_cap);
+            .min(BACKOFF_CAP);
         self.counters.incr("sim.requeued");
         if self.tracer.is_enabled() {
             self.tracer.event(
@@ -365,7 +341,7 @@ impl ClusterSim {
     }
 
     /// Transient DistFlow failure: inside a flake window, a request's first
-    /// KV transfer attempt errors out and retries after `backoff_base`
+    /// KV transfer attempt errors out and retries after `BACKOFF_BASE`
     /// with its route still intact. Returns whether this attempt failed.
     pub(super) fn flake_transfer(
         &mut self,
@@ -387,10 +363,7 @@ impl ClusterSim {
         self.faults
             .migration_retry
             .insert(id, (from, kv_tokens, first_token_at));
-        self.sched(
-            now + self.faults.cfg.backoff_base,
-            Event::MigrationRetry(id),
-        );
+        self.sched(now + BACKOFF_BASE, Event::MigrationRetry(id));
         true
     }
 

@@ -5,10 +5,19 @@
 
 use super::*;
 use crate::fleet::{ColdStartMode, FleetConfig, LoadState, ModelRegistry};
-use crate::scaling::{LoadPath, ScalingModel, SourceLoad};
+use crate::scaling::{LoadPath, ScalingModel, ScalingOptimizations, SourceLoad};
 use npu::pagecache::ByteRange;
 use npu::storage::{fault_time, ServerStore, Tier};
+use npu::RemoteStoreSpec;
 use std::collections::BTreeMap;
+
+/// Cold-start SLA: a queued request should see first dispatch within this
+/// bound of its arrival (per-tier attainment is reported).
+const COLD_SLA: SimDuration = SimDuration::from_secs(30);
+
+/// Queue depth on a model's hottest host above which the JE scales the
+/// model out to one more TE.
+const SCALE_OUT_QUEUE: usize = 8;
 
 /// One in-flight fleet checkpoint load.
 struct InflightLoad {
@@ -26,7 +35,8 @@ struct InflightLoad {
 /// pre-fleet builds.
 pub(super) struct FleetState {
     pub(super) registry: ModelRegistry,
-    cfg: FleetConfig,
+    /// Checkpoint fetch/distribution strategy.
+    mode: ColdStartMode,
     /// One DRAM-over-SSD storage stack per physical server.
     stores: Vec<ServerStore>,
     /// Requests parked behind a load: model -> `(arrival slot, slot
@@ -149,7 +159,7 @@ impl ClusterSim {
             .collect();
         self.fleet = Some(FleetState {
             registry,
-            cfg,
+            mode: cfg.mode,
             stores,
             waiting: BTreeMap::new(),
             inflight: BTreeMap::new(),
@@ -254,7 +264,7 @@ impl ClusterSim {
         };
         fleet.touch(host, m);
         let load = tes[host.0 as usize].engine.load();
-        if load >= fleet.cfg.scale_out_queue && !fleet.inflight.contains_key(&m) {
+        if load >= SCALE_OUT_QUEUE && !fleet.inflight.contains_key(&m) {
             // Queue pressure on the hottest replica: scale the model out.
             let _ = self.start_model_load(now, m, true);
         }
@@ -279,7 +289,7 @@ impl ClusterSim {
             return false;
         };
         let ckpt = entry.ckpt.clone();
-        let (file, total, mode) = (ckpt.file, ckpt.total_bytes(), fleet.cfg.mode);
+        let (file, total, mode) = (ckpt.file, ckpt.total_bytes(), fleet.mode);
         let hosts = fleet.registry.hosts(m).to_vec();
         // Candidates: routable TEs not already hosting `m`, annotated with
         // the storage tier holding the checkpoint on their server and the
@@ -311,9 +321,10 @@ impl ClusterSim {
                 targets.push(te);
             }
         }
-        // Price the load: tier fault-in (or remote streaming) up front,
-        // then the five-step scaling pipeline onto the NPUs.
-        let remote = &fleet.cfg.remote;
+        // Price the load: tier fault-in (or remote streaming) from the
+        // shared remote checkpoint store behind every server's SSD up
+        // front, then the five-step scaling pipeline onto the NPUs.
+        let remote = RemoteStoreSpec::default();
         let (pre, path, tier) = match mode {
             ColdStartMode::PrewarmMiss => {
                 let pre =
@@ -335,7 +346,7 @@ impl ClusterSim {
             _ => {
                 let server = self.tes[primary.0 as usize].npus[0].server;
                 let fb = fleet.stores[server].fault_in(file, ByteRange::new(0, total), total);
-                let pre = fault_time(fb, &self.cfg.cluster.server, remote);
+                let pre = fault_time(fb, &self.cfg.cluster.server, &remote);
                 (pre, LoadPath::DramHit, fb.source)
             }
         };
@@ -348,16 +359,16 @@ impl ClusterSim {
                 .map(|t| self.tes[t.0 as usize].engine.load())
                 .max()
                 .unwrap_or(0);
-            let denom = fleet.cfg.scale_out_queue.max(1) as f64;
             SourceLoad {
-                intensity: (busiest as f64 / denom).min(1.0),
+                intensity: (busiest as f64 / SCALE_OUT_QUEUE as f64).min(1.0),
             }
         } else {
             SourceLoad::idle()
         };
         let scaling = ScalingModel::new(self.cfg.cluster.clone());
-        let breakdown =
-            scaling.breakdown(&ckpt, self.cfg.parallelism, fleet.cfg.scaling, path, source);
+        // Every scaling-pipeline optimization applies to every cold start.
+        let opts = ScalingOptimizations::all();
+        let breakdown = scaling.breakdown(&ckpt, self.cfg.parallelism, opts, path, source);
         breakdown.emit_trace(&mut self.tracer, now + pre);
         let total_time = pre + breakdown.total();
 
@@ -448,7 +459,6 @@ impl ClusterSim {
         }
         self.counters
             .add("fleet.replicas_added", valid.len() as u64);
-        let sla = fleet.cfg.cold_sla;
         for (idx, gen) in fleet.take_waiters(m) {
             if self.ingress.gen(idx) != gen {
                 continue; // reached a terminal state while parked
@@ -459,7 +469,8 @@ impl ClusterSim {
             let wait = now.since(req.arrival);
             self.metrics
                 .record("fleet.cold_wait_ms", wait.as_millis_f64());
-            self.counters.incr(tier_sla_counter(load.tier, wait <= sla));
+            self.counters
+                .incr(tier_sla_counter(load.tier, wait <= COLD_SLA));
             self.dispatch(now, idx);
         }
     }

@@ -19,33 +19,31 @@ struct Migration {
     span: SpanId,
 }
 
-// `route` and `pending` are point-lookup only (insert/remove), and
-// clippy.toml bans iterating them, so hash order cannot leak into reports
-// or traces. `in_flight` is iterated, so it is a BTreeMap.
+// `route` is point-lookup only (insert/remove), and clippy.toml bans
+// iterating it, so hash order cannot leak into reports or traces.
+// `in_flight` is iterated, so it is a BTreeMap.
 
-/// Routes, stashes and in-flight transfers of disaggregated requests.
+/// Routes and in-flight transfers of disaggregated requests. A routed
+/// request's metadata stays in its ingress slot, which never changes
+/// while the request is in flight.
 #[derive(Default)]
 pub(super) struct Migrations {
     /// Disaggregated routing: request -> decode TE.
     route: HashMap<RequestId, TeId>,
-    /// Prompt + metadata stash for requests in the prefill half.
-    pending: HashMap<RequestId, NewRequest>,
     /// In-flight KV migrations. A `BTreeMap`: crash handling iterates it
     /// to find doomed transfers, in id order by construction.
     in_flight: BTreeMap<TransferId, Migration>,
 }
 
 impl Migrations {
-    /// Records that `new` prefills first and then migrates to `decode`.
-    pub(super) fn stash(&mut self, decode: TeId, new: NewRequest) {
-        self.route.insert(new.id, decode);
-        self.pending.insert(new.id, new);
+    /// Records that `id` prefills first and then migrates to `decode`.
+    pub(super) fn route(&mut self, id: RequestId, decode: TeId) {
+        self.route.insert(id, decode);
     }
 
-    /// Drops `id`'s route and stash.
+    /// Drops `id`'s route.
     pub(super) fn forget(&mut self, id: RequestId) {
         self.route.remove(&id);
-        self.pending.remove(&id);
     }
 }
 
@@ -89,13 +87,18 @@ impl ClusterSim {
         if !self.tes[to.0 as usize].alive {
             // The decode endpoint died before the transfer started; free
             // the prefill copy and send the request back through the JE.
-            self.migrations.pending.remove(&id);
             return self.abort_migration(now, from, id);
         }
-        let Some(new) = self.migrations.pending.remove(&id) else {
-            // Metadata lost (bookkeeping bug): loud in debug builds; in
-            // release, free the prefill TE's copy instead of wedging it.
-            debug_assert!(false, "disaggregated request {id:?} lacks stashed metadata");
+        let Some(new) = self
+            .ingress
+            .slot_of(id)
+            .and_then(|slot| self.ingress.get(slot))
+            .map(ApiRequest::to_new)
+        else {
+            // A route outlived its request (bookkeeping bug): loud in debug
+            // builds; in release, free the prefill TE's copy instead of
+            // wedging it.
+            debug_assert!(false, "routed request {id:?} not in flight");
             self.release_migrated(now, from, id);
             return;
         };

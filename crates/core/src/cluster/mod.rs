@@ -23,7 +23,6 @@ mod ingress;
 mod migration;
 mod report;
 
-pub use faults::FaultRecoveryConfig;
 pub use ingress::LiveEvent;
 pub use report::RunReport;
 
@@ -74,14 +73,13 @@ pub struct ClusterConfig {
     pub policy: Policy,
     /// Decode-length predictor accuracy; `None` = oracle.
     pub predictor_accuracy: Option<f64>,
-    /// PD heatmap for the PD-aware policy.
-    pub heatmap: Heatmap,
     /// Fraction of a migrated KV transfer overlapped with prefill
     /// (by-layer streaming; 0.0 = pure by-req transfer after prefill).
     pub kv_transfer_overlap: f64,
-    /// RNG seed (predictor noise).
-    pub seed: u64,
 }
+
+/// RNG seed of the predictor's noise.
+const PREDICTOR_SEED: u64 = 42 ^ 0x9e37;
 
 impl ClusterConfig {
     /// The paper's standard serving testbed: a Gen2 cluster serving the
@@ -94,9 +92,7 @@ impl ClusterConfig {
             engine: EngineConfig::colocated(),
             policy: Policy::Combined,
             predictor_accuracy: Some(0.9),
-            heatmap: Heatmap::default_production(),
             kv_transfer_overlap: 0.8,
-            seed: 42,
         }
     }
 }
@@ -163,7 +159,7 @@ pub struct ClusterSim {
     ingress: Ingress,
     /// Live (gateway-fed) ingress state; `None` for offline trace replay.
     live: Option<LiveState>,
-    /// Routes, stashes and in-flight transfers of disaggregated requests.
+    /// Routes and in-flight transfers of disaggregated requests.
     migrations: Migrations,
     latency: LatencyStats,
     counters: Counters,
@@ -267,11 +263,12 @@ impl ClusterSim {
 
         let predictor: Box<dyn DecodePredictor> = match cfg.predictor_accuracy {
             None => Box::new(Oracle),
-            Some(a) => Box::new(FixedAccuracy::new(a, cfg.seed ^ 0x9e37)),
+            Some(a) => Box::new(FixedAccuracy::new(a, PREDICTOR_SEED)),
         };
+        // The PD-aware policy reads the production heatmap.
         let mut je = JobExecutor::new(
             cfg.policy,
-            cfg.heatmap.clone(),
+            Heatmap::default_production(),
             predictor,
             cfg.engine.block_size,
         );

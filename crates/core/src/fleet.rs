@@ -10,12 +10,9 @@
 //! at a deterministic simulated instant.
 
 use crate::prompt_tree::TeId;
-use crate::scaling::ScalingOptimizations;
 use llm_model::{Checkpoint, ModelSpec};
 use npu::pagecache::FileId;
-use npu::RemoteStoreSpec;
 use serde::{Number, Serialize, Value};
-use simcore::SimDuration;
 
 /// Fleet checkpoints get FileIds from this offset upward; low ids are
 /// reserved for the single-model paths (fault repair uses `FileId(1)`).
@@ -78,32 +75,18 @@ impl ColdStartMode {
 /// Fleet-mode tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Scaling-pipeline optimizations applied to every cold start.
-    pub scaling: ScalingOptimizations,
     /// Checkpoint fetch/distribution strategy.
     pub mode: ColdStartMode,
-    /// The shared remote checkpoint store behind every server's SSD.
-    pub remote: RemoteStoreSpec,
-    /// Cold-start SLA: a queued request should see first dispatch within
-    /// this bound of its arrival (per-tier attainment is reported).
-    pub cold_sla: SimDuration,
     /// Weight bytes one TE may pin in HBM before evicting its LRU models
     /// (None = 70% of the TE's aggregate HBM; the rest stays for KV).
     pub hbm_weight_budget: Option<u64>,
-    /// Queue depth on a model's hottest host above which the JE scales
-    /// the model out to one more TE.
-    pub scale_out_queue: usize,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            scaling: ScalingOptimizations::all(),
             mode: ColdStartMode::Hierarchy,
-            remote: RemoteStoreSpec::default(),
-            cold_sla: SimDuration::from_secs(30),
             hbm_weight_budget: None,
-            scale_out_queue: 8,
         }
     }
 }

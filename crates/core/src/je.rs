@@ -32,6 +32,18 @@ use simcore::trace::{Trace, TraceLevel, Tracer};
 use simcore::{Counters, SimTime};
 use std::collections::BTreeSet;
 
+/// Load-imbalance threshold for `is_load_balanced` (absolute request
+/// spread).
+const BALANCE_THRESHOLD: usize = 4;
+
+/// Overload spill-over: when the heatmap-preferred TE type's least-loaded
+/// target carries more than `OVERLOAD_FACTOR` x the other type's
+/// least-loaded target (plus the balance threshold), the preference is
+/// overridden. This is the "dynamics of online serving" part of the
+/// PD-aware policy (§5.3.2): a correct static preference must not pile the
+/// whole workload onto a saturated subgroup.
+const OVERLOAD_FACTOR: f64 = 2.0;
+
 /// Scheduling policy selector (the Figure 6 comparison set plus ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
@@ -336,16 +348,6 @@ pub struct JobExecutor {
     tree_colocated: GlobalPromptTree,
     /// Global prompt tree for prefill TEs.
     tree_prefill: GlobalPromptTree,
-    /// Load-imbalance threshold for `is_load_balanced` (absolute request
-    /// spread).
-    pub balance_threshold: usize,
-    /// Overload spill-over: when the heatmap-preferred TE type's
-    /// least-loaded target carries more than `overload_factor` x the other
-    /// type's least-loaded target (plus the balance threshold), the
-    /// preference is overridden. This is the "dynamics of online serving"
-    /// part of the PD-aware policy (§5.3.2): a correct static preference
-    /// must not pile the whole workload onto a saturated subgroup.
-    pub overload_factor: f64,
     rr_cursor: usize,
     /// The registered pool, its loads and which of it is routable.
     index: LoadIndex,
@@ -368,8 +370,6 @@ impl JobExecutor {
             predictor,
             tree_colocated: GlobalPromptTree::new(block_size, 200_000),
             tree_prefill: GlobalPromptTree::new(block_size, 200_000),
-            balance_threshold: 4,
-            overload_factor: 2.0,
             rr_cursor: 0,
             index: LoadIndex::default(),
             counters: Counters::new(),
@@ -592,7 +592,7 @@ impl JobExecutor {
     fn combined(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
         let (group, heat) = self.select_tes_pd_heatmap(req, predicted);
         let (_, least) = self.index.head(group)?;
-        let balanced = self.index.spread(group) <= self.balance_threshold;
+        let balanced = self.index.spread(group) <= BALANCE_THRESHOLD;
         self.counters.incr(if balanced {
             "je.combined_locality"
         } else {
@@ -622,11 +622,11 @@ impl JobExecutor {
         // target is drowning while the other type has headroom.
         if let (Some((min_coloc, _)), Some((min_disagg, _))) = (coloc, disagg) {
             let (min_coloc, min_disagg) = (min_coloc as f64, min_disagg as f64);
-            let thresh = self.balance_threshold as f64;
-            if prefer_disagg && min_disagg > self.overload_factor * min_coloc + thresh {
+            let thresh = BALANCE_THRESHOLD as f64;
+            if prefer_disagg && min_disagg > OVERLOAD_FACTOR * min_coloc + thresh {
                 prefer_disagg = false;
                 self.counters.incr("je.heatmap_overridden");
-            } else if !prefer_disagg && min_coloc > self.overload_factor * min_disagg + thresh {
+            } else if !prefer_disagg && min_coloc > OVERLOAD_FACTOR * min_disagg + thresh {
                 prefer_disagg = true;
                 self.counters.incr("je.heatmap_overridden");
             }

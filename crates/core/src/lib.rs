@@ -44,7 +44,7 @@ pub use api::{
     materialize, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest,
     IngressRecord,
 };
-pub use cluster::{ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent, RunReport, TeRole};
+pub use cluster::{ClusterConfig, ClusterSim, LiveEvent, RunReport, TeRole};
 pub use fleet::{fleet_catalog, ColdStartMode, FleetConfig, LoadState, ModelEntry, ModelRegistry};
 pub use heatmap::Heatmap;
 pub use je::{Decision, JobExecutor, Policy, Target};

@@ -12,7 +12,7 @@
 
 use deepserve::{
     fleet_catalog, materialize_fleet_trace, materialize_trace, ClusterConfig, ClusterSim,
-    ColdStartMode, FaultRecoveryConfig, FleetConfig, Policy, TeRole,
+    ColdStartMode, FleetConfig, HealthConfig, Policy, TeRole,
 };
 use proptest::prelude::*;
 use simcore::{FaultKind, FaultPlan, SimDuration, SimRng, SimTime};
@@ -84,7 +84,7 @@ proptest! {
         };
         let mut sim = ClusterSim::new(cfg, &ROLES);
         sim.inject(reqs);
-        sim.install_faults(&plan, FaultRecoveryConfig::default());
+        sim.install_faults(&plan, HealthConfig::default());
         let report = sim.run_to_completion();
 
         let (done, sub) = sim.progress();
@@ -135,7 +135,7 @@ fn fleet_chaos_run(
     );
     sim.stage_fleet_on_ssd();
     sim.inject(reqs);
-    sim.install_faults(plan, FaultRecoveryConfig::default());
+    sim.install_faults(plan, HealthConfig::default());
     let mut report = sim.run_to_completion();
 
     let (done, sub) = sim.progress();
@@ -193,7 +193,7 @@ fn crash_mid_checkpoint_load_recovers() {
         sim.enable_fleet(fleet_catalog(1), FleetConfig::default());
         let specs = FleetTrace::skewed(1, 2.0).generate(&mut SimRng::seed_from_u64(3), 8);
         sim.inject(materialize_fleet_trace(&specs, 64_000));
-        sim.install_faults(&plan, FaultRecoveryConfig::default());
+        sim.install_faults(&plan, HealthConfig::default());
         let mut report = sim.run_to_completion();
         let (done, sub) = sim.progress();
         assert_eq!(done + sim.failed(), sub, "conservation");
@@ -233,7 +233,7 @@ fn crash_mid_multicast_recovers() {
         // the cold-start queue trips scale-out multicast.
         let specs = FleetTrace::skewed(1, 50.0).generate(&mut SimRng::seed_from_u64(5), 60);
         sim.inject(materialize_fleet_trace(&specs, 64_000));
-        sim.install_faults(&plan, FaultRecoveryConfig::default());
+        sim.install_faults(&plan, HealthConfig::default());
         let mut report = sim.run_to_completion();
         let (done, sub) = sim.progress();
         assert_eq!(done + sim.failed(), sub, "conservation");

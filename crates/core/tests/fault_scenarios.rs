@@ -4,8 +4,8 @@
 //! straggler TE, and the zero-fault identity guarantee.
 
 use deepserve::{
-    materialize_trace, ApiRequest, ClusterConfig, ClusterSim, FaultRecoveryConfig, Policy,
-    RunReport, TeRole,
+    materialize_trace, ApiRequest, ClusterConfig, ClusterSim, HealthConfig, Policy, RunReport,
+    TeRole,
 };
 use simcore::{FaultPlan, SimDuration, SimRng, SimTime, TraceLevel};
 use workloads::{ChatTrace, ReqSpec};
@@ -36,7 +36,7 @@ fn run_single_te(reqs: Vec<ApiRequest>, plan: &FaultPlan) -> (RunReport, u64, u6
     let mut sim = ClusterSim::new(cfg(), &[TeRole::Colocated]);
     sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
     sim.inject(reqs);
-    sim.install_faults(plan, FaultRecoveryConfig::default());
+    sim.install_faults(plan, HealthConfig::default());
     let report = sim.run_to_completion();
     let (done, _) = sim.progress();
     let failed = sim.failed();
@@ -128,7 +128,7 @@ fn migration_destination_crash_aborts_and_reroutes() {
     let mut sim = ClusterSim::new(cfg(), &[TeRole::Prefill, TeRole::Decode, TeRole::Colocated]);
     sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
     sim.inject(reqs);
-    sim.install_faults(&plan, FaultRecoveryConfig::default());
+    sim.install_faults(&plan, HealthConfig::default());
     let report = sim.run_to_completion();
     let (done, sub) = sim.progress();
     assert_eq!(sub, expected);
@@ -150,7 +150,7 @@ fn straggler_te_degrades_latency_but_loses_nothing() {
     let run = |plan: &FaultPlan| {
         let mut sim = ClusterSim::new(cfg(), &[TeRole::Colocated]);
         sim.inject(workload());
-        sim.install_faults(plan, FaultRecoveryConfig::default());
+        sim.install_faults(plan, HealthConfig::default());
         let mut report = sim.run_to_completion();
         let (done, sub) = sim.progress();
         assert_eq!(done, sub, "a slow TE finishes everything eventually");
@@ -184,7 +184,7 @@ fn zero_fault_plan_is_bit_identical_to_unarmed_run() {
         sim.inject(reqs);
         if armed {
             // The empty plan must be a guaranteed no-op.
-            sim.install_faults(&FaultPlan::none(), FaultRecoveryConfig::default());
+            sim.install_faults(&FaultPlan::none(), HealthConfig::default());
         }
         let mut report = sim.run_to_completion();
         (report.to_json().to_json(), report.trace.to_json().to_json())

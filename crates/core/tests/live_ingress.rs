@@ -2,7 +2,7 @@
 //! `submit_live` / `step_until`) the gateway's serve loop relies on, and
 //! for the request-id rules every ingress path shares.
 
-use deepserve::{ApiRequest, ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent, TeRole};
+use deepserve::{ApiRequest, ClusterConfig, ClusterSim, HealthConfig, LiveEvent, TeRole};
 use flowserve::{synthetic_tokens, CacheId};
 use simcore::{FaultPlan, SimDuration, SimTime};
 
@@ -286,7 +286,7 @@ fn reused_id_flakes_like_a_fresh_one() {
         s.enable_live_ingress();
         let plan =
             FaultPlan::none().with_transfer_flake(SimTime::ZERO, SimDuration::from_secs(600));
-        s.install_faults(&plan, FaultRecoveryConfig::default());
+        s.install_faults(&plan, HealthConfig::default());
         s.submit_live(req(1, SimTime::ZERO + SimDuration::from_millis(1)));
         s.step_until(SimTime::from_secs(60));
         assert_eq!(s.progress(), (1, 1), "the first request finished");

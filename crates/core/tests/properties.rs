@@ -222,7 +222,7 @@ impl Reference {
                 let mut prefer_disagg = heat >= 0.0;
                 if let (Some(c), Some(d)) = (least(&coloc), least(&disagg)) {
                     let (c, d) = (key(&c).0 as f64, key(&d).0 as f64);
-                    // The JE's defaults: overload factor 2, balance threshold 4.
+                    // The JE's constants: overload factor 2, balance threshold 4.
                     if (prefer_disagg && d > 2.0 * c + 4.0) || (!prefer_disagg && c > 2.0 * d + 4.0)
                     {
                         prefer_disagg = !prefer_disagg;

@@ -11,8 +11,7 @@
 
 use deepserve::{
     fleet_catalog, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest,
-    ClusterConfig, ClusterSim, ColdStartMode, FaultRecoveryConfig, FleetConfig, Policy, RunReport,
-    TeRole,
+    ClusterConfig, ClusterSim, ColdStartMode, FleetConfig, HealthConfig, Policy, RunReport, TeRole,
 };
 use flowserve::synthetic_tokens;
 use serde::Value;
@@ -113,7 +112,7 @@ fn faulted() -> String {
         .with_transfer_flake(SimTime::from_secs(1), SimDuration::from_secs(3));
     let mut sim = ClusterSim::new(combined(), &[TeRole::Colocated; 3]);
     sim.inject(chat(13, 1.5, 50));
-    sim.install_faults(&plan, FaultRecoveryConfig::default());
+    sim.install_faults(&plan, HealthConfig::default());
     render(sim.run_to_completion())
 }
 
@@ -180,7 +179,7 @@ fn pd_faulted() -> String {
     ];
     let mut sim = ClusterSim::new(combined(), &roles);
     sim.inject(chat(21, 3.0, 60));
-    sim.install_faults(&plan, FaultRecoveryConfig::default());
+    sim.install_faults(&plan, HealthConfig::default());
     exercised(
         sim.run_to_completion(),
         &[
@@ -202,7 +201,7 @@ fn fleet_faulted() -> String {
     sim.inject(materialize_fleet_trace(&specs, 64_000));
     sim.install_faults(
         &FaultPlan::none().with_crash(SimTime::from_secs(2), 0),
-        FaultRecoveryConfig::default(),
+        HealthConfig::default(),
     );
     exercised(
         sim.run_to_completion(),

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use deepserve::{
     fleet_catalog, materialize_fleet_trace, materialize_trace, ClusterConfig, ClusterSim,
-    ColdStartMode, FaultRecoveryConfig, FleetConfig, Policy, TeRole,
+    ColdStartMode, FleetConfig, HealthConfig, Policy, TeRole,
 };
 use flowserve::EngineConfig;
 use proptest::prelude::*;
@@ -152,7 +152,7 @@ fn faulted_sim_paced(fast_forward: bool) -> ClusterSim {
     sim.set_fast_forward(fast_forward);
     sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
     sim.inject(reqs);
-    sim.install_faults(&plan, FaultRecoveryConfig::default());
+    sim.install_faults(&plan, HealthConfig::default());
     sim
 }
 
@@ -273,7 +273,7 @@ fn run_paced(
             .with_crash(SimTime::from_secs(6), 0)
             .with_straggler(SimTime::from_secs(2), 1, 3.0, SimDuration::from_secs(5))
             .with_transfer_flake(SimTime::from_secs(1), SimDuration::from_secs(3));
-        sim.install_faults(&plan, FaultRecoveryConfig::default());
+        sim.install_faults(&plan, HealthConfig::default());
     }
     let mut report = sim.run_to_completion();
     (report.to_json().to_json(), sim.events_processed())

@@ -103,28 +103,14 @@ pub struct EngineConfig {
     /// Chunked-prefill token budget per iteration (colocated mode). Also
     /// the per-iteration prefill budget in prefill-only mode.
     pub prefill_chunk_tokens: usize,
-    /// Whether chunked prefill mixes with decode (colocated mode). When
-    /// off, a prefill iteration runs alone (decode stalls).
-    pub chunked_prefill: bool,
     /// Fraction of HBM reserved for activations/workspace.
     pub kv_reserve_frac: f64,
     /// Host-DRAM KV pool size in blocks (tier-2 cache).
     pub dram_blocks: usize,
-    /// Implicit prefix caching on/off.
+    /// Implicit prefix caching on/off, on every role: a prefill-only TE
+    /// caches the KV it computes before shipping it, so later requests
+    /// reuse it there too.
     pub prefix_caching: bool,
-    /// Whether prefill-only TEs also insert computed KV into their local
-    /// cache before shipping it (enables cross-request reuse on prefill
-    /// TEs).
-    pub cache_on_prefill: bool,
-    /// Use the fitted cost model to gate populate (fetch only if cheaper
-    /// than recompute). When off, always populate on any DRAM hit.
-    pub populate_cost_model: bool,
-    /// Estimated aggregate DRAM->HBM populate bandwidth (bytes/s) for the
-    /// cost-model decision (actual timing is charged by the clock owner).
-    pub populate_bandwidth: f64,
-    /// Background swapper low-watermark: keep at least this many HBM
-    /// blocks free by demoting cold cache to DRAM off the critical path.
-    pub swap_low_watermark_blocks: usize,
 }
 
 impl EngineConfig {
@@ -136,14 +122,9 @@ impl EngineConfig {
             block_size: crate::block::DEFAULT_BLOCK_SIZE,
             max_batch: 256,
             prefill_chunk_tokens: 512,
-            chunked_prefill: true,
             kv_reserve_frac: 0.1,
             dram_blocks: 65_536,
             prefix_caching: true,
-            cache_on_prefill: true,
-            populate_cost_model: true,
-            populate_bandwidth: 64e9,
-            swap_low_watermark_blocks: 64,
         }
     }
 

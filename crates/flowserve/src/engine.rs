@@ -34,6 +34,14 @@ use simcore::{Counters, RequestLatency, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::ops::{AddAssign, SubAssign};
 
+/// Estimated aggregate DRAM->HBM populate bandwidth (bytes/s) for the
+/// cost-model decision (actual timing is charged by the clock owner).
+const POPULATE_BANDWIDTH: f64 = 64e9;
+
+/// Background swapper low-watermark: keep at least this many HBM blocks
+/// free by demoting cold cache to DRAM off the critical path.
+const SWAP_LOW_WATERMARK_BLOCKS: usize = 64;
+
 /// What the engine reports back to its driver.
 #[derive(Debug, Clone)]
 pub enum EngineEvent {
@@ -225,9 +233,6 @@ pub struct Engine {
     /// Scratch per-sequence new-block lists for `fast_forward` (inner
     /// vectors stay allocated across windows; always empty between calls).
     scratch_new_blocks: Vec<Vec<BlockId>>,
-    /// Scratch vectorized iteration costs for `fast_forward` (windows of
-    /// upcoming step times priced in one cost-model call).
-    scratch_costs: Vec<SimDuration>,
 }
 
 /// A whole cluster simulation can move to a serving thread (the gateway
@@ -275,7 +280,6 @@ impl Engine {
             spare_prefill_parts: Vec::new(),
             scratch_slack: Vec::new(),
             scratch_new_blocks: Vec::new(),
-            scratch_costs: Vec::new(),
         }
     }
 
@@ -366,7 +370,7 @@ impl Engine {
         let id = new.id;
         // Reject prompts that cannot ever fit.
         let blocks_for_prompt = new.prompt.len().div_ceil(self.cfg.block_size);
-        if blocks_for_prompt + 1 > self.total_npu_blocks() {
+        if blocks_for_prompt + 1 > self.rtc.npu_capacity_blocks() {
             self.counters.incr("engine.rejected");
             if self.tracer.is_enabled() {
                 self.tracer
@@ -427,13 +431,6 @@ impl Engine {
         }
     }
 
-    fn total_npu_blocks(&self) -> usize {
-        // Pool capacity = free + in-use; RTC exposes free; reconstruct via
-        // capacity stored in the pool. (Free + cached is a lower bound;
-        // use the config-derived capacity for the admission check.)
-        self.cost.kv_capacity_tokens(self.cfg.kv_reserve_frac) as usize / self.cfg.block_size
-    }
-
     /// Matches the prompt against RTC; acquires the NPU-resident prefix
     /// and, if worthwhile, kicks off a populate for the DRAM tail.
     fn try_cache_match(
@@ -457,10 +454,9 @@ impl Engine {
         let mut pending = None;
         if dram_tokens > 0 {
             let bytes = dram_tokens as u64 * self.cost.model().kv_bytes_per_token();
-            let fetch_s = bytes as f64 / self.cfg.populate_bandwidth;
+            let fetch_s = bytes as f64 / POPULATE_BANDWIDTH;
             let recompute_s = self.cost.recompute_time(dram_tokens as u64).as_secs_f64();
-            let beneficial = !self.cfg.populate_cost_model || fetch_s < recompute_s;
-            if beneficial {
+            if fetch_s < recompute_s {
                 if let Some(plan) = self.rtc.populate(now, &m) {
                     let ticket = plan.ticket;
                     self.populating.insert(ticket, req.new.id);
@@ -651,11 +647,9 @@ impl Engine {
         // Retry KV admissions that were waiting for space.
         self.retry_waiting_kv();
         // Background swapper: keep headroom off the critical path.
-        if self.cfg.swap_low_watermark_blocks > 0 {
-            let moved = self.rtc.copy_to_dram(self.cfg.swap_low_watermark_blocks);
-            if moved > 0 {
-                self.counters.add("engine.bg_swap_tokens", moved as u64);
-            }
+        let moved = self.rtc.copy_to_dram(SWAP_LOW_WATERMARK_BLOCKS);
+        if moved > 0 {
+            self.counters.add("engine.bg_swap_tokens", moved as u64);
         }
         if self.current.is_none() {
             self.start_iteration(now);
@@ -691,9 +685,10 @@ impl Engine {
     /// scheduled event lands (`horizon`). This absorbs exactly the
     /// boundaries that provably precede all four into the in-flight
     /// iteration, replaying the single-step arithmetic — real pool
-    /// appends in batch order, per-iteration integer-nanosecond cost
-    /// rounding — so the committed state (tables, block ids, counters,
-    /// timings) is bit-identical to stepping one wake at a time.
+    /// appends in batch order, each absorbed iteration priced by
+    /// `iteration_wall` like `start_iteration` prices its own — so the
+    /// committed state (tables, block ids, counters, timings) is
+    /// bit-identical to stepping one wake at a time.
     ///
     /// Fallbacks: stragglers (`slowdown != 1.0`) and full-level tracing
     /// (which wants every per-token event) single-step unconditionally;
@@ -759,27 +754,15 @@ impl Engine {
             return;
         }
 
-        // Constant across the window: the batch (hence the CPU cost) is
-        // fixed, and pool-hit appends never touch the radix tree, so the
-        // evictable set cannot change while absorbing.
-        let (cpu_overlap, cpu_residual) = self.cfg.version.cpu_costs(b);
-        let watermark = self.cfg.swap_low_watermark_blocks;
-        let has_evictable = watermark > 0 && self.rtc.npu_evictable();
+        // Constant across the window: pool-hit appends never touch the
+        // radix tree, so the evictable set cannot change while absorbing.
+        let has_evictable = self.rtc.npu_evictable();
 
         let mut new_blocks = std::mem::take(&mut self.scratch_new_blocks);
         if new_blocks.len() < b {
             new_blocks.resize_with(b, Vec::new);
         }
         debug_assert!(new_blocks.iter().all(Vec::is_empty));
-        // Vectorized pricing: upcoming per-iteration costs are evaluated
-        // in windows of up to `COST_WINDOW` steps with one cost-model
-        // call (context-invariant roofline terms hoisted), bit-identical
-        // to per-step `step_time` — re-checked by the debug assertion in
-        // the loop. Bounded so a horizon/watermark break wastes little.
-        const COST_WINDOW: u64 = 64;
-        let mut costs = std::mem::take(&mut self.scratch_costs);
-        costs.clear();
-        let mut cost_i = 0usize;
         let mut absorbed: u64 = 0;
         let mut busy_acc = SimDuration::ZERO;
         // Appends the *next* boundary needs; updated incrementally by the
@@ -794,21 +777,11 @@ impl Engine {
                 break; // an external event pops first (strictly before)
             }
             let free = self.rtc.npu_free_blocks();
-            if has_evictable && free < watermark {
+            if has_evictable && free < SWAP_LOW_WATERMARK_BLOCKS {
                 break; // the background swapper would demote cache here
             }
             if next_appends > free {
                 break; // allocation would evict or preempt; single-step it
-            }
-            if cost_i == costs.len() {
-                // Refill the price window from the current context (the
-                // cost model advances it by `b` before each step, exactly
-                // like the scalar path below).
-                costs.clear();
-                cost_i = 0;
-                let steps = (min_rem - 1 - absorbed).min(COST_WINDOW);
-                self.cost
-                    .decode_step_times_into(b as u64, context_total, steps, &mut costs);
             }
             // Absorb the boundary: complete this iteration silently and
             // form the next one. Pool appends happen for real, in batch
@@ -837,23 +810,9 @@ impl Engine {
             }
             next_appends = coming;
             context_total += b as u64;
-            // Exactly `start_iteration`'s arithmetic for a pure-decode
-            // batch, including the per-iteration float -> integer-ns
-            // rounding (a closed-form sum would drift by ulps) — served
-            // from the vectorized window above.
-            let npu = costs[cost_i];
-            cost_i += 1;
-            debug_assert_eq!(
-                npu,
-                self.cost
-                    .step_time(&BatchWork::decode(b as u64, context_total)),
-                "vectorized decode pricing diverged from scalar step_time"
-            );
-            let wall = if self.cfg.version.async_sched {
-                SimDuration::from_secs_f64(npu.as_secs_f64().max(cpu_overlap) + cpu_residual)
-            } else {
-                npu + SimDuration::from_secs_f64(cpu_overlap + cpu_residual)
-            };
+            // Priced per iteration, as single-stepping does (a closed-form
+            // sum would drift by ulps from the integer-ns rounding).
+            let wall = self.iteration_wall(&BatchWork::decode(b as u64, context_total), b);
             it.ends_at += wall;
             busy_acc += wall;
             absorbed += 1;
@@ -897,8 +856,6 @@ impl Engine {
         }
         self.scratch_slack = slack;
         self.scratch_new_blocks = new_blocks;
-        costs.clear();
-        self.scratch_costs = costs;
         self.current = Some(it);
     }
 
@@ -926,18 +883,8 @@ impl Engine {
         if work.is_empty() {
             return;
         }
-        let npu = self.cost.step_time(&work);
         let seqs = decode_ids.len() + prefill_parts.len();
-        let (overlap, residual) = self.cfg.version.cpu_costs(seqs.max(1));
-        let mut wall = if self.cfg.version.async_sched {
-            SimDuration::from_secs_f64(npu.as_secs_f64().max(overlap) + residual)
-        } else {
-            npu + SimDuration::from_secs_f64(overlap + residual)
-        };
-        // Guarded so the float round-trip cannot perturb healthy runs.
-        if self.slowdown != 1.0 {
-            wall = wall.mul_f64(self.slowdown);
-        }
+        let wall = self.iteration_wall(&work, seqs);
         self.stats.iterations += 1;
         self.stats.busy += wall;
         let span = if self.tracer.is_enabled() {
@@ -961,6 +908,25 @@ impl Engine {
             span,
             iterations: 1,
         });
+    }
+
+    /// Wall time of one iteration doing `work` for `seqs` sequences: the
+    /// NPU step plus the version's CPU costs (overlapped with it under
+    /// async scheduling), stretched by a straggler's slowdown.
+    fn iteration_wall(&self, work: &BatchWork, seqs: usize) -> SimDuration {
+        let npu = self.cost.step_time(work);
+        let (overlap, residual) = self.cfg.version.cpu_costs(seqs.max(1));
+        let wall = if self.cfg.version.async_sched {
+            SimDuration::from_secs_f64(npu.as_secs_f64().max(overlap) + residual)
+        } else {
+            npu + SimDuration::from_secs_f64(overlap + residual)
+        };
+        // Guarded so the float round-trip cannot perturb healthy runs.
+        if self.slowdown != 1.0 {
+            wall.mul_f64(self.slowdown)
+        } else {
+            wall
+        }
     }
 
     fn form_batch(&mut self, now: SimTime) -> (BatchWork, Vec<RequestId>, Vec<(RequestId, usize)>) {
@@ -997,13 +963,8 @@ impl Engine {
             self.scratch_ids = ids;
         }
 
-        // --- prefill side ---
-        let do_prefill = match self.cfg.mode {
-            EngineMode::PrefillOnly => true,
-            EngineMode::DecodeOnly => false,
-            EngineMode::Colocated => self.cfg.chunked_prefill || decode_ids.is_empty(),
-        };
-        if do_prefill {
+        // --- prefill side (chunks ride along with decode) ---
+        if self.cfg.mode != EngineMode::DecodeOnly {
             let mut budget = self.cfg.prefill_chunk_tokens;
             let mut ctx_weighted: u64 = 0;
             // Continue in-flight prefills first, then admit new ones.
@@ -1236,7 +1197,7 @@ impl Engine {
 
     fn finish_prefill(&mut self, at: SimTime, id: RequestId, events: &mut Vec<EngineEvent>) {
         self.running_prefill.retain(|&r| r != id);
-        let (prompt, cache_id, blocks, should_cache, is_first_completion) = {
+        let (prompt, cache_id, blocks, is_first_completion) = {
             let Some(req) = self.requests.get_mut(id) else {
                 debug_assert!(false, "engine invariant: untracked request {id:?}");
                 return;
@@ -1247,20 +1208,15 @@ impl Engine {
                 req.generated = 1;
                 self.stats.output_tokens += 1;
             }
-            let should_cache = match self.cfg.mode {
-                EngineMode::PrefillOnly => self.cfg.cache_on_prefill,
-                _ => self.cfg.prefix_caching,
-            };
             (
                 req.new.prompt.clone(),
                 req.new.cache_id,
                 req.table.blocks().to_vec(),
-                should_cache,
                 is_first,
             )
         };
         // Implicit caching: register the prompt's full blocks.
-        if should_cache {
+        if self.cfg.prefix_caching {
             let chain = self.rtc.insert_prefix(at, &prompt, &blocks);
             if let Some(cid) = cache_id {
                 self.rtc.register_id(cid, chain);

@@ -153,6 +153,11 @@ impl Rtc {
         self.cfg.block_size
     }
 
+    /// Blocks in the HBM pool: free, cached and in use.
+    pub(crate) fn npu_capacity_blocks(&self) -> usize {
+        self.npu_pool.capacity()
+    }
+
     /// Free blocks in the HBM pool.
     pub fn npu_free_blocks(&self) -> usize {
         self.npu_pool.available()

@@ -246,6 +246,35 @@ fn prefill_only_engine_emits_kv_and_releases_on_migration() {
     assert_eq!(d.engine.counters().get("engine.migrated_out"), 1);
 }
 
+/// `prefix_caching` decides caching on a prefill-only TE too: with it
+/// on, a repeated prompt is served from the cache the first one left;
+/// with it off, the engine inserts nothing.
+#[test]
+fn prefill_only_engine_caches_exactly_when_prefix_caching_is_on() {
+    for caching in [true, false] {
+        let cfg = EngineConfig {
+            prefix_caching: caching,
+            ..EngineConfig::prefill_only()
+        };
+        let mut d = Driver::new(Engine::new(cfg, cost_34b_tp4()));
+        for id in 1..=2 {
+            let at = d.now;
+            assert!(d.submit(at, req(id, 3, 2048, 200, at)));
+            d.run_to_completion();
+            d.engine.release_migrated(d.now, RequestId(id));
+        }
+        assert_eq!(d.prefill_complete.len(), 2);
+        let hits = d.engine.counters().get("engine.cache_hit_tokens");
+        let inserted = d.engine.rtc().counters().get("rtc.inserted_blocks");
+        if caching {
+            assert!(hits > 0, "the repeated prompt missed the cache");
+        } else {
+            assert_eq!(inserted, 0, "caching off, yet {inserted} blocks inserted");
+            assert_eq!(hits, 0);
+        }
+    }
+}
+
 #[test]
 fn decode_only_engine_serves_migrated_request() {
     let cost = cost_34b_tp4();

@@ -38,6 +38,15 @@ use std::time::Duration;
 /// its wall deadline while no client comes.
 const WAIT_CAP_MS: u64 = 2;
 
+/// `max_tokens` used when a request does not specify one.
+const DEFAULT_MAX_TOKENS: u32 = 16;
+
+/// Hard cap on a request's `max_tokens`.
+const MAX_TOKENS_CAP: u32 = 2048;
+
+/// Model name advertised by `/v1/models` and stamped on completions.
+const MODEL_NAME: &str = "deepserve-34b";
+
 /// Gateway configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -50,15 +59,9 @@ pub struct ServerConfig {
     /// Exit after this many completions finished (or failed); `None`
     /// keeps serving until `POST /admin/shutdown`.
     pub max_requests: Option<u64>,
-    /// `max_tokens` used when a request does not specify one.
-    pub default_max_tokens: u32,
-    /// Hard cap on a request's `max_tokens`.
-    pub max_tokens_cap: u32,
     /// Wall-clock safety deadline in milliseconds; the loop force-drains
     /// and exits past it. `None` = no deadline.
     pub max_wall_ms: Option<u64>,
-    /// Model name advertised by `/v1/models` and stamped on completions.
-    pub model_name: String,
     /// Serve a model fleet of this many registered endpoints instead of
     /// the single pre-warmed model; `0` keeps the single-model gateway.
     /// Completion bodies pick an endpoint with `"model": "<name>"`, and
@@ -75,10 +78,7 @@ impl Default for ServerConfig {
             timescale: 20.0,
             tes: 2,
             max_requests: None,
-            default_max_tokens: 16,
-            max_tokens_cap: 2048,
             max_wall_ms: None,
-            model_name: "deepserve-34b".to_string(),
             fleet_models: 0,
             session_capacity: crate::session::DEFAULT_SESSION_CAPACITY,
         }
@@ -360,7 +360,7 @@ impl Server {
             ("GET", "/v1/models") => {
                 let body = match self.sim.fleet_registry() {
                     Some(reg) => fleet_models_json(reg),
-                    None => models_json(&self.cfg.model_name),
+                    None => models_json(),
                 };
                 self.write_to(slot, &http::response(200, "application/json", &body));
                 self.drop_conn(slot);
@@ -395,7 +395,7 @@ impl Server {
     }
 
     fn handle_completion(&mut self, slot: usize, req: &Request) {
-        let parsed = match parse_completion_body(req, &self.cfg) {
+        let parsed = match parse_completion_body(req) {
             Ok(p) => p,
             Err(err) => {
                 self.write_to(slot, &http::error_response(&err));
@@ -415,7 +415,7 @@ impl Server {
         // gateway's advertised single model (or naming nothing) take the
         // untagged pre-warmed path.
         let model_idx = match (&parsed.model, self.sim.fleet_registry()) {
-            (Some(name), Some(reg)) if name != &self.cfg.model_name => match reg.find(name) {
+            (Some(name), Some(reg)) if name != MODEL_NAME => match reg.find(name) {
                 Some(m) => Some(m),
                 None => {
                     let err = HttpError::new(404, format!("unknown model {name:?}"));
@@ -488,7 +488,7 @@ impl Server {
                 return;
             }
             let text = completion_text(req_id, from, p.emitted);
-            let model = p.model.as_deref().unwrap_or(&self.cfg.model_name);
+            let model = p.model.as_deref().unwrap_or(MODEL_NAME);
             http::sse_frame(&chunk_json(req_id, model, &text, None).to_json())
         };
         self.write_to(slot, &frame);
@@ -511,10 +511,7 @@ impl Server {
         let ConnState::Pending(p) = &mut conn.state else {
             return;
         };
-        let model = p
-            .model
-            .clone()
-            .unwrap_or_else(|| self.cfg.model_name.clone());
+        let model = p.model.clone().unwrap_or_else(|| MODEL_NAME.to_string());
         match (total, p.streaming) {
             (Some(total), true) => {
                 // Flush any tokens the event stream did not cover, then a
@@ -596,7 +593,7 @@ struct CompletionParams {
     model: Option<String>,
 }
 
-fn parse_completion_body(req: &Request, cfg: &ServerConfig) -> Result<CompletionParams, HttpError> {
+fn parse_completion_body(req: &Request) -> Result<CompletionParams, HttpError> {
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| HttpError::new(400, "request body is not UTF-8"))?;
     let v = Value::parse(text).map_err(|_| HttpError::new(400, "request body is not JSON"))?;
@@ -606,20 +603,17 @@ fn parse_completion_body(req: &Request, cfg: &ServerConfig) -> Result<Completion
         .ok_or_else(|| HttpError::new(400, "missing string field \"prompt\""))?
         .to_string();
     let max_tokens = match v.get("max_tokens") {
-        None => cfg.default_max_tokens,
+        None => DEFAULT_MAX_TOKENS,
         Some(m) => u32::try_from(
             m.as_u64()
                 .ok_or_else(|| HttpError::new(400, "\"max_tokens\" must be a positive integer"))?,
         )
         .map_err(|_| HttpError::new(400, "\"max_tokens\" out of range"))?,
     };
-    if max_tokens == 0 || max_tokens > cfg.max_tokens_cap {
+    if max_tokens == 0 || max_tokens > MAX_TOKENS_CAP {
         return Err(HttpError::new(
             400,
-            format!(
-                "\"max_tokens\" must be between 1 and {cap}",
-                cap = cfg.max_tokens_cap
-            ),
+            format!("\"max_tokens\" must be between 1 and {MAX_TOKENS_CAP}"),
         ));
     }
     let stream = match v.get("stream") {
@@ -703,13 +697,13 @@ fn completion_text(req_id: u64, from: u64, to: u64) -> String {
     out
 }
 
-fn models_json(model: &str) -> Vec<u8> {
+fn models_json() -> Vec<u8> {
     Value::Object(vec![
         ("object".to_string(), Value::String("list".to_string())),
         (
             "data".to_string(),
             Value::Array(vec![Value::Object(vec![
-                ("id".to_string(), Value::String(model.to_string())),
+                ("id".to_string(), Value::String(MODEL_NAME.to_string())),
                 ("object".to_string(), Value::String("model".to_string())),
             ])]),
         ),

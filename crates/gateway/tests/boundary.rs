@@ -125,15 +125,36 @@ fn malformed_and_unroutable_requests_get_proper_codes() {
         status_of(&post(addr, "/v1/completions", None, r#"{"prompt":""}"#)),
         400
     );
+    // `max_tokens` outside 1..=2048; the error names the cap.
+    for bad in [0, 2049] {
+        let body = format!(r#"{{"prompt":"hi","max_tokens":{bad}}}"#);
+        let response = post(addr, "/v1/completions", None, &body);
+        assert_eq!(status_of(&response), 400, "{response}");
+        assert!(response.contains("2048"), "{response}");
+    }
 
     // The server survived all of it and still serves the models route.
     let models = roundtrip(addr, b"GET /v1/models HTTP/1.1\r\n\r\n");
     assert_eq!(status_of(&models), 200);
     assert!(models.contains("deepserve-34b"), "{models}");
 
+    // A request without `max_tokens` gets the default 16 tokens.
+    let response = post(addr, "/v1/completions", None, r#"{"prompt":"hi"}"#);
+    assert_eq!(status_of(&response), 200, "{response}");
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    let v = serde::Value::parse(body).unwrap_or_else(|e| panic!("{e}: {body:?}"));
+    let completion_tokens = v
+        .get("usage")
+        .and_then(|u| u.get("completion_tokens"))
+        .and_then(serde::Value::as_u64);
+    assert_eq!(completion_tokens, Some(16), "{v:?}");
+
     shutdown_server(addr);
     let outcome = handle.join().expect("server thread");
-    assert_eq!(outcome.served, 0);
+    assert_eq!(
+        outcome.served, 1,
+        "only the default-length request is served"
+    );
 }
 
 #[test]

@@ -226,73 +226,6 @@ impl ExecCostModel {
         self.step_time(&BatchWork::decode(batch, batch * avg_context))
     }
 
-    /// Vectorized per-step pricing: appends the durations of `steps`
-    /// consecutive pure-decode iterations of a fixed `seqs`-sequence
-    /// batch into `out`, starting at `context_start` total context
-    /// tokens (context grows by `seqs` before each step: step `i` prices
-    /// `BatchWork::decode(seqs, context_start + (i + 1) * seqs)`).
-    ///
-    /// The context-invariant terms of [`Self::step_breakdown`] — linear
-    /// FLOPs, weight-streaming bytes, TP/PP communication (decode batch
-    /// tokens equal `seqs`, independent of context) and the fixed floor
-    /// — are hoisted out of the loop; only the attention FLOPs and KV
-    /// traffic are recomputed per step. Every hoisted value comes from
-    /// the *same* float expressions the scalar path evaluates (for the
-    /// positive finite values here `0.0 + x == x` and
-    /// `y + 0.0 * kv == y` exactly), and each step ends in the same
-    /// `compute.max(memory) + comm + floor` rounding through
-    /// [`SimDuration::from_secs_f64`], so the results are bit-identical
-    /// to calling [`Self::step_time`] once per iteration. The engine's
-    /// fast-forward path re-verifies this with a debug assertion on
-    /// every absorbed iteration.
-    pub fn decode_step_times_into(
-        &self,
-        seqs: u64,
-        context_start: u64,
-        steps: u64,
-        out: &mut Vec<SimDuration>,
-    ) {
-        if seqs == 0 || steps == 0 {
-            return;
-        }
-        let tp = self.par.tp as f64;
-        let seqs_f = seqs as f64;
-        // Hoisted invariants — expression-for-expression the ones in
-        // `step_breakdown` for a pure-decode `BatchWork`.
-        let linear_flops = self.model.linear_flops_per_token() * seqs_f;
-        let compute_denom = tp * self.chip.flops() * PREFILL_MFU;
-        let kv_per_tok = self.model.kv_bytes_per_token() as f64 / tp;
-        let mem_base = self.model.weight_bytes() as f64 / tp;
-        let mem_denom = self.chip.hbm_bw * DECODE_HBM_EFFICIENCY;
-        let mut comm_s = 0.0;
-        if self.par.tp > 1 {
-            let bytes_per_layer = seqs * self.model.hidden as u64 * self.model.dtype_bytes as u64
-                / self.par.sp as u64;
-            let per_layer =
-                hccl::all_reduce_time(&self.tp_link, self.par.tp as usize, bytes_per_layer);
-            comm_s += per_layer.as_secs_f64() * (2 * self.model.num_layers) as f64;
-        }
-        if self.par.pp > 1 {
-            let act_bytes = seqs * self.model.hidden as u64 * self.model.dtype_bytes as u64;
-            let hop = hccl::p2p_time(&self.tp_link, act_bytes);
-            comm_s += hop.as_secs_f64() * (self.par.pp - 1) as f64;
-        }
-        let floor_s = ITERATION_FLOOR_US as f64 / 1e6;
-
-        out.reserve(steps as usize);
-        let mut ctx = context_start;
-        for _ in 0..steps {
-            ctx += seqs;
-            let avg_ctx = ctx / seqs;
-            let flops = linear_flops + self.model.attn_flops_per_token(avg_ctx) * seqs_f;
-            let compute_s = flops / compute_denom;
-            let memory_s = (mem_base + ctx as f64 * kv_per_tok) / mem_denom;
-            out.push(SimDuration::from_secs_f64(
-                compute_s.max(memory_s) + comm_s + floor_s,
-            ));
-        }
-    }
-
     /// How many KV-cache tokens fit on each NPU after weights and a
     /// `reserve` fraction of HBM for activations/workspace.
     pub fn kv_capacity_tokens(&self, reserve_frac: f64) -> u64 {
@@ -373,39 +306,6 @@ mod tests {
         let t64 = m.decode_iter_time(64, 2048).as_secs_f64();
         // 64x the work in far less than 64x the time.
         assert!(t64 < 8.0 * t1, "t1={t1} t64={t64}");
-    }
-
-    #[test]
-    fn decode_step_times_match_scalar_pricing() {
-        // The vectorized batch evaluation hoists the context-invariant
-        // roofline terms; it must still reproduce the scalar per-step
-        // pricing bit-for-bit, or fast-forward replay breaks.
-        for par in [Parallelism::tp(4), Parallelism::tp_pp(2, 2)] {
-            let cluster = ClusterSpec::gen2_cluster(1);
-            let m = ExecCostModel::new(
-                cluster.server.chip.clone(),
-                cluster.hccs,
-                ModelSpec::internal_34b(),
-                par,
-            );
-            for seqs in [1u64, 7, 48] {
-                let ctx0 = seqs * 777;
-                let mut batch = Vec::new();
-                m.decode_step_times_into(seqs, ctx0, 100, &mut batch);
-                assert_eq!(batch.len(), 100);
-                let mut ctx = ctx0;
-                for (i, &t) in batch.iter().enumerate() {
-                    ctx += seqs;
-                    assert_eq!(
-                        t,
-                        m.step_time(&BatchWork::decode(seqs, ctx)),
-                        "tp={} pp={} seqs={seqs} step {i}",
-                        par.tp,
-                        par.pp
-                    );
-                }
-            }
-        }
     }
 
     #[test]
