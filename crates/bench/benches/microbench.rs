@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use deepserve::{GlobalPromptTree, Heatmap, TeId};
 use flowserve::block::BlockPool;
-use flowserve::rtc::{Rtc, RtcConfig};
+use flowserve::rtc::{chain_hash, Rtc, RtcConfig};
 use flowserve::{synthetic_tokens, Tokenizer};
 use simcore::{EventQueue, SharedLink, SimDuration, SimTime};
 
@@ -115,6 +115,17 @@ fn bench_radix_tree(c: &mut Criterion) {
     });
 }
 
+/// Chain-hashing one 3,584-token prompt in 16-token blocks: a code-gen
+/// request's 3,072-token shared context plus its 512-token mean suffix.
+/// The JE's tree insert, the RTC's match and the RTC's insert each hash a
+/// prompt this way, and so does the JE's walk on a locality decision.
+fn bench_chain_hash(c: &mut Criterion) {
+    let prompt = synthetic_tokens(7, 3_584, 64_000);
+    c.bench_function("rtc/chain_hash", |b| {
+        b.iter(|| black_box(&prompt).chunks_exact(16).fold(0, chain_hash))
+    });
+}
+
 fn bench_tokenizer(c: &mut Criterion) {
     let t = Tokenizer::default();
     let text = "The quick brown fox jumps over the lazy dog. ".repeat(200);
@@ -145,7 +156,8 @@ fn bench_prompt_tree(c: &mut Criterion) {
 /// them (user `u` cached on TE `u % 256`). Each iteration also moves one
 /// TE's load, alternating the group spread between 0 (balanced: the
 /// locality path) and 8 (imbalanced: the load path), as the cluster's load
-/// reports would between arrivals.
+/// reports would between arrivals. Only the locality half walks the
+/// prompt tree; the load half reads the load index's head.
 fn bench_je_schedule(c: &mut Criterion) {
     use deepserve::{ApiRequest, JobExecutor, Oracle, Policy};
     let mut je = JobExecutor::new(
@@ -366,6 +378,7 @@ criterion_group!(
     bench_event_queue,
     bench_block_pool,
     bench_radix_tree,
+    bench_chain_hash,
     bench_tokenizer,
     bench_prompt_tree,
     bench_je_schedule,

@@ -17,10 +17,11 @@
 //! but note fast-forward *shrinks* the event count by design. Peak RSS
 //! (VmHWM) is recorded per run — the dimension streaming injection exists
 //! to bound — next to `rtc_blocks`, the KV blocks the run left cached, so
-//! RSS per cached block can be read off a row. Every run shares one
-//! process, and a row's peak RSS includes heap the allocator kept from
-//! earlier runs: the grid's 256-TE streamed smoke row reads 83-102 MB,
-//! while the same run peaks at about 56 MB as a process's first run.
+//! RSS per cached block can be read off a row. Every run is a fresh child
+//! process (this binary with a private `--row` argument), so a row's peak
+//! RSS counts no heap an earlier run left in the allocator; the child
+//! prints its row and its report's digest as one JSON line, and the
+//! parent compares the digests.
 //!
 //! Run: `cargo run --release -p deepserve-bench --bin scale_sweep`
 //! CI:  `cargo run --release -p deepserve-bench --bin scale_sweep -- --smoke`
@@ -36,9 +37,7 @@
 //! single-step iteration rate on the small configuration and 0.9x of it
 //! on the 256-TE one (the median of seven rounds that alternate which
 //! strategy runs first), and the streamed 256-TE run stays under a fixed
-//! RSS budget. The RSS gate reads its own run of that configuration,
-//! made first in the process so no earlier run's heap counts. A full run
-//! also snapshots the results to
+//! RSS budget. A full run also snapshots the results to
 //! `BENCH_scale.json` at the repo root to track the perf trajectory.
 #![expect(
     clippy::disallowed_types,
@@ -47,10 +46,11 @@
 )]
 
 use deepserve::{materialize_trace, stream_trace, ClusterConfig, ClusterSim, Policy, TeRole};
-use deepserve_bench::{header, numeric_flag, peak_rss_kb, reset_peak_rss, write_json};
+use deepserve_bench::{header, numeric_flag, peak_rss_kb, write_json};
 use npu::specs::ClusterSpec;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use simcore::SimRng;
+use std::process::Command;
 use std::time::Instant;
 use workloads::ScaleTrace;
 
@@ -58,12 +58,12 @@ use workloads::ScaleTrace;
 /// the trace would defeat the memory bound the configuration measures.
 const MAT_LIMIT: usize = 1 << 18;
 /// RSS ceiling for the smoke gate's large streamed run, in megabytes.
-/// 256 TEs x 65k requests peaks at about 56 MB as the first run of a
-/// process; the budget keeps the 1.5x headroom the gate had when it read
-/// the grid's in-process row (83 MB against 128). Sizing the block pools
-/// by modelled KV capacity instead of the blocks in use, or a heap
-/// allocation per cached block (the radix tree's old child maps), each
-/// pushes it past this.
+/// 256 TEs x 65k requests peaks at about 56 MB in its own process; the
+/// budget keeps the 1.5x headroom the gate had when it read a row that
+/// shared its process with earlier runs (83 MB against 128). Sizing the
+/// block pools by modelled KV capacity instead of the blocks in use, or a
+/// heap allocation per cached block (the radix tree's old child maps),
+/// each pushes it past this.
 const SMOKE_RSS_BUDGET_MB: f64 = 84.0;
 /// Smoke parity gates: (TEs, least fast-forward / single-step iteration
 /// rate). Fast-forward absorbs little on the 256-TE configuration (every
@@ -154,9 +154,31 @@ struct Combo {
     single_step_skipped: bool,
 }
 
+/// One run's row and its report's digest: what a `--row` child prints.
+#[derive(Serialize)]
 struct RunOut {
     row: Row,
-    report_json: String,
+    /// FNV-1a 64 of the rendered report.
+    digest: u64,
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(fast_forward, streamed)` of the strategy named `mode` on `gc`. Above
+/// `MAT_LIMIT` the trace is never materialized: the configuration exists
+/// to demonstrate O(in-flight) memory, so the fast-forward baseline
+/// streams too.
+fn strategy(gc: &GridCfg, mode: &str) -> (bool, bool) {
+    match mode {
+        "fast_forward" => (true, gc.requests > MAT_LIMIT),
+        "ff_streamed" => (true, true),
+        _ => (false, false),
+    }
 }
 
 fn roles_of(gc: &GridCfg) -> Vec<TeRole> {
@@ -174,7 +196,10 @@ fn roles_of(gc: &GridCfg) -> Vec<TeRole> {
     }
 }
 
-fn run_one(gc: &GridCfg, mode: &'static str, fast_forward: bool, streamed: bool) -> RunOut {
+/// Runs strategy `mode` on `gc` in this process and measures it. Only a
+/// `--row` child calls it, so the process's peak RSS is the run's.
+fn measure(gc: &GridCfg, mode: &'static str) -> RunOut {
+    let (fast_forward, streamed) = strategy(gc, mode);
     // Decode-heavy scale shape: small per-user prompts, sustained decode,
     // arrival rate matched to service capacity so the in-flight window —
     // and therefore streamed memory — stays bounded at any trace length.
@@ -193,7 +218,6 @@ fn run_one(gc: &GridCfg, mode: &'static str, fast_forward: bool, streamed: bool)
     let roles = roles_of(gc);
     let mut sim = ClusterSim::new(cfg, &roles);
     sim.set_fast_forward(fast_forward);
-    reset_peak_rss();
     // The timer covers trace generation too: at streaming scale the
     // workload is produced inside the run, so excluding it from the
     // materialized side would flatter materialization.
@@ -237,7 +261,59 @@ fn run_one(gc: &GridCfg, mode: &'static str, fast_forward: bool, streamed: bool)
     };
     RunOut {
         row,
-        report_json: report.to_json().to_json(),
+        digest: fnv1a64(report.to_json().to_json().as_bytes()),
+    }
+}
+
+/// Runs strategy `mode` on grid configuration `index` in a fresh child
+/// process and reads back its row and report digest.
+fn run_one(grid: &[GridCfg], index: usize, mode: &'static str, smoke: bool) -> RunOut {
+    let exe = std::env::current_exe().expect("path of the running binary");
+    let mut child = Command::new(exe);
+    child.args(["--row", &index.to_string(), mode]);
+    if smoke {
+        child.arg("--smoke");
+    }
+    let out = child.output().expect("spawn a row child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "row child {index} {mode} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v = serde_json::from_str(stdout.trim()).expect("a row child prints one JSON line");
+    let row = v.get("row").expect("row child output has a row");
+    let num = |key: &str| {
+        row.get(key)
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("row child output lacks {key}"))
+    };
+    let gc = &grid[index];
+    RunOut {
+        row: Row {
+            tes: gc.tes,
+            requests: gc.requests,
+            output_tokens: gc.output_tokens,
+            users: gc.users,
+            mode,
+            streamed: strategy(gc, mode).1,
+            wall_ms: num("wall_ms"),
+            events_processed: num("events_processed") as u64,
+            sim_iterations: num("sim_iterations") as u64,
+            ff_windows: num("ff_windows") as u64,
+            ff_iterations: num("ff_iterations") as u64,
+            iters_per_sec: num("iters_per_sec"),
+            events_per_sec: num("events_per_sec"),
+            makespan_s: num("makespan_s"),
+            completed: num("completed") as usize,
+            rtc_blocks: num("rtc_blocks") as u64,
+            peak_rss_mb: num("peak_rss_mb"),
+            host_cores: host_cores(),
+        },
+        digest: v
+            .get("digest")
+            .and_then(Value::as_u64)
+            .expect("row child output has a digest"),
     }
 }
 
@@ -259,9 +335,11 @@ fn print_row(r: &Row) {
     );
 }
 
-/// Runs one configuration under every applicable strategy; returns its
-/// rows and the cross-strategy comparison.
-fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) {
+/// Runs grid configuration `index` under every applicable strategy, each
+/// run in a fresh child process; returns its rows and the cross-strategy
+/// comparison.
+fn run_config(grid: &[GridCfg], index: usize, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) {
+    let gc = &grid[index];
     // Timing rounds: three absorb scheduler/allocator noise on the small
     // configurations and the ungated smoke one; the parity-gated smoke
     // configurations take PARITY_ROUNDS (one 256-TE run's wall time spread
@@ -274,20 +352,15 @@ fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) 
     } else {
         1
     };
-    // Above MAT_LIMIT the trace is never materialized — the configuration
-    // exists to demonstrate O(in-flight) memory — so the fast-forward
-    // baseline streams too.
+    // The streamed-vs-materialized A/B (identity + RSS) is only
+    // meaningful when the baseline materialized.
     let big = gc.requests > MAT_LIMIT;
-    // (mode, fast_forward, streamed). The streamed-vs-materialized A/B
-    // (identity + RSS) is only meaningful when the baseline materialized.
-    let mut strategies = vec![("fast_forward", true, big)];
+    let mut strategies = vec!["fast_forward"];
     if !big {
-        strategies.push(("ff_streamed", true, true));
+        strategies.push("ff_streamed");
     }
-    let mut best: Vec<RunOut> = strategies
-        .iter()
-        .map(|&(mode, ff, streamed)| run_one(gc, mode, ff, streamed))
-        .collect();
+    let run = |mode| run_one(grid, index, mode, smoke);
+    let mut best: Vec<RunOut> = strategies.iter().map(|&mode| run(mode)).collect();
 
     // Single-step baseline, behind the wall budget: predict its wall from
     // the measured fast-forward wall scaled by the event reduction
@@ -297,8 +370,8 @@ fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) 
         ff1.wall_ms * ff1.sim_iterations as f64 / (ff1.events_processed.max(1)) as f64;
     let run_ss = !big && predicted_ss_ms <= max_wall_ms;
     if run_ss {
-        strategies.push(("single_step", false, false));
-        best.push(run_one(gc, "single_step", false, false));
+        strategies.push("single_step");
+        best.push(run("single_step"));
     } else if !big {
         println!(
             "    [single_step skipped: predicted {predicted_ss_ms:.0} ms > budget {max_wall_ms:.0} ms]"
@@ -308,8 +381,10 @@ fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) 
     // host's speed slows all of them alike; every other round runs them in
     // reverse, so no strategy always goes first. Past the third round, a
     // gated configuration times only the two strategies the gate compares
-    // (the streamed row stays a best of three, as its RSS gate expects).
+    // (the streamed row stays a best of three). Every run's report must
+    // match the first run's.
     let last = strategies.len() - 1;
+    let mut digests: Vec<u64> = best.iter().map(|b| b.digest).collect();
     let mut speedups = vec![best[last].row.wall_ms / best[0].row.wall_ms];
     for round in 1..reps {
         let mut walls = vec![0.0; strategies.len()];
@@ -318,8 +393,8 @@ fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) 
             if round >= 3 && i != 0 && i != last {
                 continue;
             }
-            let (mode, ff, streamed) = strategies[i];
-            let r = run_one(gc, mode, ff, streamed);
+            let r = run(strategies[i]);
+            digests.push(r.digest);
             walls[i] = r.row.wall_ms;
             if r.row.wall_ms < best[i].row.wall_ms {
                 best[i].row = r.row;
@@ -329,11 +404,10 @@ fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) 
     }
     speedups.sort_by(f64::total_cmp);
 
-    let rows: Vec<Row> = best.iter().map(|b| b.row.clone()).collect();
+    let rows: Vec<Row> = best.into_iter().map(|b| b.row).collect();
     let (ff, ss) = (&rows[0], run_ss.then(|| &rows[last]));
     let speedup_ff = ss.map(|_| speedups[speedups.len() / 2]);
     let event_reduction = ss.map(|ss| ss.events_processed as f64 / ff.events_processed as f64);
-    let reports: Vec<String> = best.into_iter().map(|b| b.report_json).collect();
 
     let combo = Combo {
         tes: gc.tes,
@@ -342,7 +416,7 @@ fn run_config(gc: &GridCfg, max_wall_ms: f64, smoke: bool) -> (Vec<Row>, Combo) 
         users: gc.users,
         speedup_ff,
         event_reduction,
-        reports_identical: reports.windows(2).all(|w| w[0] == w[1]),
+        reports_identical: digests.windows(2).all(|w| w[0] == w[1]),
         peak_rss_mb: rows.iter().map(|r| r.peak_rss_mb).fold(0.0, f64::max),
         single_step_skipped: !run_ss,
     };
@@ -360,8 +434,142 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The smoke grid: a small colocated configuration, a compact P/D one and
+/// the CI scale gate.
+const SMOKE_GRID: [GridCfg; 3] = [
+    GridCfg {
+        servers: 2,
+        tes: 4,
+        requests: 256,
+        output_tokens: 256,
+        users: 32,
+        prefill_tokens: 128,
+        rps_per_te: 256.0,
+        shape: Shape::Colocated,
+    },
+    // A compact PD-disaggregated config so the smoke gate also
+    // covers KV migrations: multi-chunk prefills, every request
+    // moving its KV to a decode TE.
+    GridCfg {
+        servers: 16,
+        tes: 32,
+        requests: 1024,
+        prefill_tokens: 4608,
+        output_tokens: 64,
+        users: 512,
+        rps_per_te: 2.0,
+        shape: Shape::PdPairs,
+    },
+    // The CI scale gate: a large trace that must run streamed in
+    // bounded memory with bit-identical reports streamed and
+    // materialized.
+    GridCfg {
+        servers: 128,
+        tes: 256,
+        requests: 1 << 16,
+        output_tokens: 64,
+        users: 1024,
+        prefill_tokens: 128,
+        rps_per_te: 24.0,
+        shape: Shape::Colocated,
+    },
+];
+
+/// The full sweep's grid.
+const FULL_GRID: [GridCfg; 7] = [
+    GridCfg {
+        servers: 2,
+        tes: 4,
+        requests: 256,
+        output_tokens: 128,
+        users: 32,
+        prefill_tokens: 128,
+        rps_per_te: 256.0,
+        shape: Shape::Colocated,
+    },
+    GridCfg {
+        servers: 4,
+        tes: 8,
+        requests: 512,
+        output_tokens: 256,
+        users: 64,
+        prefill_tokens: 128,
+        rps_per_te: 256.0,
+        shape: Shape::Colocated,
+    },
+    GridCfg {
+        servers: 8,
+        tes: 16,
+        requests: 1024,
+        output_tokens: 512,
+        users: 128,
+        prefill_tokens: 128,
+        rps_per_te: 256.0,
+        shape: Shape::Colocated,
+    },
+    GridCfg {
+        servers: 16,
+        tes: 32,
+        requests: 2048,
+        output_tokens: 512,
+        users: 256,
+        prefill_tokens: 128,
+        rps_per_te: 256.0,
+        shape: Shape::Colocated,
+    },
+    // PD-disaggregated: every request migrates KV. Multi-chunk
+    // prefills (4608 tokens = two chunks at the 4096 budget).
+    GridCfg {
+        servers: 128,
+        tes: 256,
+        requests: 8192,
+        prefill_tokens: 4608,
+        output_tokens: 256,
+        users: 8192,
+        rps_per_te: 2.0,
+        shape: Shape::PdPairs,
+    },
+    // The 100x-scale configurations: streamed only, bounded RSS.
+    GridCfg {
+        servers: 128,
+        tes: 256,
+        requests: 1 << 18,
+        output_tokens: 64,
+        users: 4096,
+        prefill_tokens: 128,
+        rps_per_te: 24.0,
+        shape: Shape::Colocated,
+    },
+    GridCfg {
+        servers: 512,
+        tes: 1024,
+        requests: 1 << 20,
+        output_tokens: 64,
+        users: 16384,
+        prefill_tokens: 128,
+        rps_per_te: 24.0,
+        shape: Shape::Colocated,
+    },
+];
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let grid: &[GridCfg] = if smoke { &SMOKE_GRID } else { &FULL_GRID };
+    if let Some(pos) = args.iter().position(|a| a == "--row") {
+        // A row child: one run, one JSON line.
+        let index = args.get(pos + 1).and_then(|a| a.parse::<usize>().ok());
+        let mode = ["fast_forward", "ff_streamed", "single_step"]
+            .into_iter()
+            .find(|&m| args.get(pos + 2).is_some_and(|a| a == m));
+        let (Some(index), Some(mode)) = (index.filter(|&i| i < grid.len()), mode) else {
+            eprintln!("usage: --row <grid index> <fast_forward|ff_streamed|single_step>");
+            std::process::exit(2);
+        };
+        let out = measure(&grid[index], mode);
+        println!("{}", serde_json::to_string(&out).expect("serializable row"));
+        return;
+    }
     let max_wall_ms = numeric_flag("max-wall-ms").unwrap_or(120_000.0);
     header(if smoke {
         "scale_sweep --smoke: streaming + macro-stepping sanity check"
@@ -372,122 +580,6 @@ fn main() {
         "[{} host core(s); wall budget {max_wall_ms:.0} ms]",
         host_cores()
     );
-    let grid: &[GridCfg] = if smoke {
-        &[
-            GridCfg {
-                servers: 2,
-                tes: 4,
-                requests: 256,
-                output_tokens: 256,
-                users: 32,
-                prefill_tokens: 128,
-                rps_per_te: 256.0,
-                shape: Shape::Colocated,
-            },
-            // A compact PD-disaggregated config so the smoke gate also
-            // covers KV migrations: multi-chunk prefills, every request
-            // moving its KV to a decode TE.
-            GridCfg {
-                servers: 16,
-                tes: 32,
-                requests: 1024,
-                prefill_tokens: 4608,
-                output_tokens: 64,
-                users: 512,
-                rps_per_te: 2.0,
-                shape: Shape::PdPairs,
-            },
-            // The CI scale gate: a large trace that must run streamed in
-            // bounded memory with bit-identical reports streamed and
-            // materialized.
-            GridCfg {
-                servers: 128,
-                tes: 256,
-                requests: 1 << 16,
-                output_tokens: 64,
-                users: 1024,
-                prefill_tokens: 128,
-                rps_per_te: 24.0,
-                shape: Shape::Colocated,
-            },
-        ]
-    } else {
-        &[
-            GridCfg {
-                servers: 2,
-                tes: 4,
-                requests: 256,
-                output_tokens: 128,
-                users: 32,
-                prefill_tokens: 128,
-                rps_per_te: 256.0,
-                shape: Shape::Colocated,
-            },
-            GridCfg {
-                servers: 4,
-                tes: 8,
-                requests: 512,
-                output_tokens: 256,
-                users: 64,
-                prefill_tokens: 128,
-                rps_per_te: 256.0,
-                shape: Shape::Colocated,
-            },
-            GridCfg {
-                servers: 8,
-                tes: 16,
-                requests: 1024,
-                output_tokens: 512,
-                users: 128,
-                prefill_tokens: 128,
-                rps_per_te: 256.0,
-                shape: Shape::Colocated,
-            },
-            GridCfg {
-                servers: 16,
-                tes: 32,
-                requests: 2048,
-                output_tokens: 512,
-                users: 256,
-                prefill_tokens: 128,
-                rps_per_te: 256.0,
-                shape: Shape::Colocated,
-            },
-            // PD-disaggregated: every request migrates KV. Multi-chunk
-            // prefills (4608 tokens = two chunks at the 4096 budget).
-            GridCfg {
-                servers: 128,
-                tes: 256,
-                requests: 8192,
-                prefill_tokens: 4608,
-                output_tokens: 256,
-                users: 8192,
-                rps_per_te: 2.0,
-                shape: Shape::PdPairs,
-            },
-            // The 100x-scale configurations: streamed only, bounded RSS.
-            GridCfg {
-                servers: 128,
-                tes: 256,
-                requests: 1 << 18,
-                output_tokens: 64,
-                users: 4096,
-                prefill_tokens: 128,
-                rps_per_te: 24.0,
-                shape: Shape::Colocated,
-            },
-            GridCfg {
-                servers: 512,
-                tes: 1024,
-                requests: 1 << 20,
-                output_tokens: 64,
-                users: 16384,
-                prefill_tokens: 128,
-                rps_per_te: 24.0,
-                shape: Shape::Colocated,
-            },
-        ]
-    };
     println!(
         "{:>5} {:>8} {:>6} {:>12} {:>3} {:>10} {:>12} {:>12} {:>12} {:>8} {:>9} {:>8}",
         "TEs",
@@ -503,19 +595,10 @@ fn main() {
         "blocks",
         "rss MB",
     );
-    // The RSS gate's reading: the smoke grid's last configuration (the
-    // CI scale gate), streamed, as the process's first run, so its peak
-    // counts no heap kept from earlier runs.
-    let gate_rss_mb = smoke.then(|| {
-        let row = run_one(&grid[grid.len() - 1], "ff_streamed", true, true).row;
-        print_row(&row);
-        println!("{:>38} RSS gate reading (first run)", "->");
-        row.peak_rss_mb
-    });
     let mut rows = Vec::new();
     let mut pairs = Vec::new();
-    for gc in grid {
-        let (cfg_rows, combo) = run_config(gc, max_wall_ms, smoke);
+    for index in 0..grid.len() {
+        let (cfg_rows, combo) = run_config(grid, index, max_wall_ms, smoke);
         for r in &cfg_rows {
             print_row(r);
         }
@@ -539,7 +622,7 @@ fn main() {
         eprintln!("FAIL: an execution strategy diverged on at least one config");
         std::process::exit(1);
     }
-    if let Some(gate_rss_mb) = gate_rss_mb {
+    if smoke {
         // Parity gates: fast-forward must keep up with single-step. Both
         // retire the same logical iterations, so the ratio of their
         // iteration rates is the inverse ratio of their walls.
@@ -560,7 +643,15 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // RSS gate on the large streamed run.
+        // RSS gate on the large streamed run: the CI scale gate's
+        // streamed row.
+        let gate = &SMOKE_GRID[SMOKE_GRID.len() - 1];
+        let gate_rss_mb = sweep
+            .rows
+            .iter()
+            .find(|r| r.tes == gate.tes && r.requests == gate.requests && r.mode == "ff_streamed")
+            .map(|r| r.peak_rss_mb)
+            .expect("the smoke grid streams its last configuration");
         if gate_rss_mb > SMOKE_RSS_BUDGET_MB {
             eprintln!(
                 "FAIL: streamed run peak RSS {gate_rss_mb:.1} MB exceeds budget {SMOKE_RSS_BUDGET_MB:.0} MB"

@@ -79,14 +79,6 @@ pub fn peak_rss_kb() -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Resets the kernel's peak-RSS counter (Linux `clear_refs`), so each
-/// benchmark run reports its own high-water mark instead of the process
-/// lifetime maximum. Best-effort: silently a no-op where unsupported, in
-/// which case peaks are monotone across runs (still a valid upper bound).
-pub fn reset_peak_rss() {
-    let _ = fs::write("/proc/self/clear_refs", "5");
-}
-
 /// Builds the paper's standard 34B TP=4 cost model on a Gen2 chip.
 pub fn cost_34b_tp4() -> llm_model::ExecCostModel {
     let c = npu::specs::ClusterSpec::gen2_cluster(1);

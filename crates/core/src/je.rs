@@ -27,7 +27,7 @@
 use crate::api::ApiRequest;
 use crate::heatmap::Heatmap;
 use crate::predictor::DecodePredictor;
-use crate::prompt_tree::{GlobalPromptTree, TeId, Walk};
+use crate::prompt_tree::{GlobalPromptTree, TeId};
 use simcore::trace::{Trace, TraceLevel, Tracer};
 use simcore::{Counters, SimTime};
 use std::collections::BTreeSet;
@@ -84,7 +84,9 @@ impl Target {
 }
 
 /// The scheduling outcome, with the intermediate signals for
-/// observability/benchmarks.
+/// observability/benchmarks. The target's prompt-tree match is not part
+/// of it: only the locality path reads the tree, and
+/// [`JobExecutor::matched_tokens`] computes it on demand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// Where to run.
@@ -93,8 +95,6 @@ pub struct Decision {
     pub predicted_decode: u32,
     /// Heatmap cell value consulted (0 when PD-aware was skipped).
     pub heat: f64,
-    /// Prompt-tree match length at the chosen locality TE, in tokens.
-    pub matched_tokens: usize,
 }
 
 /// One of the two TE groups PD-aware chooses between.
@@ -507,13 +507,13 @@ impl JobExecutor {
             return None;
         }
         let predicted = self.predictor.predict(req);
-        let decision = match self.policy {
-            Policy::RoundRobin => self.round_robin(req, predicted),
-            Policy::LoadAware => self.load_only(req, predicted),
-            Policy::LocalityAware => self.locality_only(req, predicted),
-            Policy::PdAware => self.pd_then_load(req, predicted),
-            Policy::Combined => self.combined(req, predicted),
-        }?;
+        let (target, heat) = match self.policy {
+            Policy::RoundRobin => (self.round_robin()?, 0.0),
+            Policy::LoadAware => (self.load_only()?, 0.0),
+            Policy::LocalityAware => (self.locality_only(req)?, 0.0),
+            Policy::PdAware => self.pd_then_load(req, predicted)?,
+            Policy::Combined => self.combined(req, predicted)?,
+        };
         if self.tracer.is_enabled() {
             let policy = match self.policy {
                 Policy::RoundRobin => "round_robin",
@@ -522,90 +522,98 @@ impl JobExecutor {
                 Policy::PdAware => "pd_aware",
                 Policy::Combined => "combined",
             };
-            let (kind, te) = match decision.target {
+            let (kind, te) = match target {
                 Target::Colocated(te) => ("colocated", te),
                 Target::Disaggregated { prefill, .. } => ("disaggregated", prefill),
             };
+            let matched = self.matched_tokens(req, target);
             self.tracer.event(
                 now,
                 "je.schedule",
                 vec![
                     ("req", req.id.0.into()),
                     ("policy", policy.into()),
-                    ("predicted_decode", decision.predicted_decode.into()),
-                    ("heat", decision.heat.into()),
-                    ("matched_tokens", decision.matched_tokens.into()),
+                    ("predicted_decode", predicted.into()),
+                    ("heat", heat.into()),
+                    ("matched_tokens", matched.into()),
                     ("target_kind", kind.into()),
                     ("target_te", te.0.into()),
                 ],
             );
         }
-        Some(decision)
+        Some(Decision {
+            target,
+            predicted_decode: predicted,
+            heat,
+        })
+    }
+
+    /// `req`'s prompt-tree match at `target`, in tokens: how many leading
+    /// full blocks of the prompt the target's locality TE holds in its
+    /// group's tree. One walk; no decision reads it.
+    pub fn matched_tokens(&self, req: &ApiRequest, target: Target) -> usize {
+        let group = match target {
+            Target::Colocated(_) => Group::Colocated,
+            Target::Disaggregated { .. } => Group::Pairs,
+        };
+        self.tree(group)
+            .walk(&req.prompt)
+            .depth(target.locality_te())
     }
 
     // ---- policies ----
 
-    fn round_robin(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+    fn round_robin(&mut self) -> Option<Target> {
         let target = self.index.round_robin(self.rr_cursor)?;
         self.rr_cursor += 1;
         self.counters.incr("je.rr");
-        Some(self.decide(req, target, predicted, 0.0))
+        Some(target)
     }
 
-    fn load_only(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+    fn load_only(&mut self) -> Option<Target> {
         let target = self.index.least_loaded()?;
         self.counters.incr("je.load");
-        Some(self.decide(req, target, predicted, 0.0))
+        Some(target)
     }
 
-    fn locality_only(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
-        let index = &self.index;
-        let colocated = self.tree_colocated.walk(&req.prompt);
-        let (target, walk) = match colocated.best(|te| index.target_in(Group::Colocated, te)) {
-            Some((t, _)) => (t, colocated),
-            None => {
-                let prefill = self.tree_prefill.walk(&req.prompt);
-                let target = match prefill.best(|te| index.target_in(Group::Pairs, te)) {
-                    Some((t, _)) => t,
-                    None => index.least_loaded()?,
-                };
-                match target {
-                    Target::Colocated(_) => (target, colocated),
-                    Target::Disaggregated { .. } => (target, prefill),
-                }
-            }
+    /// The longest colocated match, else the longest pair match, else the
+    /// least-loaded target. Walks the prefill tree only when no colocated
+    /// TE matches.
+    fn locality_only(&mut self, req: &ApiRequest) -> Option<Target> {
+        let best = |g: Group| {
+            let pick = |te| self.index.target_in(g, te);
+            self.tree(g).walk(&req.prompt).best(pick).map(|(t, _)| t)
         };
+        let target = best(Group::Colocated)
+            .or_else(|| best(Group::Pairs))
+            .or_else(|| self.index.least_loaded())?;
         self.counters.incr("je.locality");
-        Some(Self::decision(target, predicted, 0.0, &walk))
+        Some(target)
     }
 
-    fn pd_then_load(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+    fn pd_then_load(&mut self, req: &ApiRequest, predicted: u32) -> Option<(Target, f64)> {
         let (group, heat) = self.select_tes_pd_heatmap(req, predicted);
         let (_, target) = self.index.head(group)?;
         self.counters.incr("je.pd");
-        Some(self.decide(req, target, predicted, heat))
+        Some((target, heat))
     }
 
     /// Algorithm 1: PD-aware narrows the group; balanced -> locality,
-    /// imbalanced -> load. One prompt-tree walk serves both the locality
-    /// choice and the decision's matched tokens.
-    fn combined(&mut self, req: &ApiRequest, predicted: u32) -> Option<Decision> {
+    /// imbalanced -> load. Only the balanced path walks the group's prompt
+    /// tree.
+    fn combined(&mut self, req: &ApiRequest, predicted: u32) -> Option<(Target, f64)> {
         let (group, heat) = self.select_tes_pd_heatmap(req, predicted);
         let (_, least) = self.index.head(group)?;
-        let balanced = self.index.spread(group) <= BALANCE_THRESHOLD;
-        self.counters.incr(if balanced {
-            "je.combined_locality"
-        } else {
-            "je.combined_load"
-        });
-        let walk = self.tree(group).walk(&req.prompt);
-        let target = if balanced {
+        let target = if self.index.spread(group) <= BALANCE_THRESHOLD {
+            self.counters.incr("je.combined_locality");
             let pick = |te| self.index.target_in(group, te);
+            let walk = self.tree(group).walk(&req.prompt);
             walk.best(pick).map_or(least, |(t, _)| t)
         } else {
+            self.counters.incr("je.combined_load");
             least
         };
-        Some(Self::decision(target, predicted, heat, &walk))
+        Some((target, heat))
     }
 
     // ---- Algorithm 1 helpers ----
@@ -649,27 +657,6 @@ impl JobExecutor {
         match group {
             Group::Colocated => &self.tree_colocated,
             Group::Pairs => &self.tree_prefill,
-        }
-    }
-
-    /// A decision for a target chosen without a prompt-tree walk: walks
-    /// the target's tree once for its matched tokens.
-    fn decide(&self, req: &ApiRequest, target: Target, predicted: u32, heat: f64) -> Decision {
-        let group = match target {
-            Target::Colocated(_) => Group::Colocated,
-            Target::Disaggregated { .. } => Group::Pairs,
-        };
-        let walk = self.tree(group).walk(&req.prompt);
-        Self::decision(target, predicted, heat, &walk)
-    }
-
-    /// `walk` must be of `target`'s group's tree.
-    fn decision(target: Target, predicted: u32, heat: f64, walk: &Walk<'_>) -> Decision {
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat,
-            matched_tokens: walk.depth(target.locality_te()),
         }
     }
 }
@@ -755,9 +742,10 @@ mod tests {
         // TE reports it cached the prompt.
         j.note_cached(SimTime::ZERO, te, false, &r.prompt);
         // Same prompt again: must go back to the same TE with a match.
-        let d2 = schedule(&mut j, &req(2, 5, 512, 400));
+        let r2 = req(2, 5, 512, 400);
+        let d2 = schedule(&mut j, &r2);
         assert_eq!(d2.target, Target::Colocated(te));
-        assert!(d2.matched_tokens >= 512 - 16);
+        assert!(j.matched_tokens(&r2, d2.target) >= 512 - 16);
     }
 
     #[test]
@@ -804,8 +792,10 @@ mod tests {
         let r = req(1, 5, 512, 64);
         j.note_cached(SimTime::ZERO, TeId(0), false, &r.prompt);
         j.note_te_removed(TeId(0));
-        let d = schedule(&mut j, &req(2, 5, 512, 64));
-        assert_eq!(d.matched_tokens, 0);
+        let r2 = req(2, 5, 512, 64);
+        let d = schedule(&mut j, &r2);
+        assert_eq!(j.matched_tokens(&r2, d.target), 0);
+        assert_eq!(j.matched_tokens(&r2, Target::Colocated(TeId(0))), 0);
     }
 
     #[test]

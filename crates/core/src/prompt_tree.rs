@@ -8,10 +8,12 @@
 //! uses ([`flowserve::rtc::chain_hash`]), so a prefix cached on a TE and a
 //! prompt arriving at the JE agree on identity without shipping tokens
 //! around. The global tree stores, per prefix level, which TEs hold it and
-//! when each last refreshed it. A decision walks the prompt's levels once
-//! ([`GlobalPromptTree::walk`]) and reads from that one walk both the TE
-//! with the longest common prefix (`select_tes_prefix_match`,
-//! [`Walk::best`]) and a chosen TE's match length ([`Walk::depth`]).
+//! when each last refreshed it. A locality decision walks the prompt's
+//! levels once ([`GlobalPromptTree::walk`]) and reads from that walk the
+//! TE with the longest common prefix (`select_tes_prefix_match`,
+//! [`Walk::best`]). A load-path decision does not walk. A chosen TE's
+//! match length ([`Walk::depth`]) is read only for the `je.schedule`
+//! trace event and by tests.
 //!
 //! Both reads rest on one invariant: every TE's levels are
 //! *ancestor-closed*. A TE holding a level also holds every shallower

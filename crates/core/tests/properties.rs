@@ -158,6 +158,15 @@ struct Reference {
 }
 
 impl Reference {
+    /// `req`'s match at `t` in the oracle tree of `t`'s group, in tokens.
+    fn matched(&self, req: &ApiRequest, t: &Target) -> usize {
+        let tree = &self.trees[matches!(t, Target::Disaggregated { .. }) as usize];
+        tree.match_tokens(&req.prompt)
+            .get(&t.locality_te())
+            .copied()
+            .unwrap_or(0)
+    }
+
     fn schedule(&mut self, req: &ApiRequest) -> Option<Decision> {
         let up = |t: TeId| !self.removed[t.0 as usize];
         let coloc: Vec<Target> = self
@@ -186,13 +195,7 @@ impl Reference {
                 decode: d,
             } => (self.loads[p.0 as usize].max(self.loads[d.0 as usize]), p),
         };
-        let matched = |t: &Target| {
-            let tree = &self.trees[matches!(t, Target::Disaggregated { .. }) as usize];
-            tree.match_tokens(&req.prompt)
-                .get(&t.locality_te())
-                .copied()
-                .unwrap_or(0)
-        };
+        let matched = |t: &Target| self.matched(req, t);
         let least = |g: &[Target]| g.iter().copied().min_by_key(key);
         let best = |g: &[Target]| {
             g.iter()
@@ -259,7 +262,6 @@ impl Reference {
             target,
             predicted_decode: predicted,
             heat,
-            matched_tokens: matched(&target),
         };
         self.rr += usize::from(self.policy == Policy::RoundRobin);
         for name in bumped {
@@ -346,8 +348,9 @@ proptest! {
 
     /// The JE's load index against the brute-force scan it replaced: random
     /// pools (some pairs sharing a decode TE), random load / removal /
-    /// re-admission / cache reports, every policy. Every decision and every
-    /// counter must match at every step.
+    /// re-admission / cache reports, every policy. Every decision, the
+    /// chosen target's matched tokens and every counter must match at
+    /// every step.
     #[test]
     fn load_index_matches_brute_force_scan(
         policy_idx in 0usize..5,
@@ -418,6 +421,13 @@ proptest! {
                     let req = ApiRequest::chat(step as u64, prompt(a % 6), 1 + (b % 6) as u32, SimTime::ZERO);
                     let got = je.schedule(now, &req);
                     prop_assert_eq!(got, reference.schedule(&req), "{:?} step {}", policy, step);
+                    if let Some(d) = got {
+                        prop_assert_eq!(
+                            je.matched_tokens(&req, d.target),
+                            reference.matched(&req, &d.target),
+                            "{:?} matched tokens at step {}", policy, step
+                        );
+                    }
                 }
             }
             prop_assert_eq!(je.is_removed(te), reference.removed[te.0 as usize]);

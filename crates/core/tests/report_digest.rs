@@ -15,8 +15,9 @@ use deepserve::{
 };
 use flowserve::synthetic_tokens;
 use serde::Value;
+use simcore::trace::TraceLevel;
 use simcore::{FaultPlan, SimDuration, SimRng, SimTime};
-use workloads::{ChatTrace, FleetTrace, ScaleTrace};
+use workloads::{ChatTrace, CodeGenTrace, FleetTrace, ScaleTrace};
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -277,6 +278,54 @@ fn reports_match_recorded_digests() {
         }
     }
     assert!(moved.is_empty(), "report digests moved:\n{moved}");
+}
+
+/// A traced Combined run over two colocated TEs and two P/D pairs on the
+/// code-gen trace. Shared contexts give the JE's prompt trees real
+/// matches, and the load spread crosses the balance threshold both ways,
+/// so Algorithm 1 takes its locality path and its load path. Returns the
+/// rendered trace, which `RunReport::to_json` leaves out: its
+/// `je.schedule` events carry each decision's matched tokens.
+fn traced_codegen() -> String {
+    let roles = [
+        TeRole::Colocated,
+        TeRole::Colocated,
+        TeRole::Prefill,
+        TeRole::Decode,
+        TeRole::Prefill,
+        TeRole::Decode,
+    ];
+    let mut rng = SimRng::seed_from_u64(17);
+    let trace = CodeGenTrace::paper(5.0).generate(&mut rng, 120);
+    let mut sim = ClusterSim::new(combined(), &roles);
+    sim.enable_tracing(TraceLevel::Lifecycle, 1 << 20);
+    sim.inject(materialize_trace(&trace, 64_000));
+    let report = sim.run_to_completion();
+    for path in ["je.combined_locality", "je.combined_load"] {
+        assert!(report.metrics.counter_value(path) > 0, "{path} never fired");
+    }
+    let matched = report
+        .trace
+        .events_labeled("je.schedule")
+        .filter(|e| e.attr_u64("matched_tokens").is_some_and(|m| m > 0))
+        .count();
+    assert!(matched > 0, "no decision matched a cached prefix");
+    assert_eq!(report.trace.dropped, 0);
+    report.trace.to_json().to_json()
+}
+
+/// Recorded at 57bf9b5, before the JE stopped walking its prompt tree on
+/// load-path decisions: the `je.schedule` events' `matched_tokens` must
+/// not depend on which path computed them.
+const TRACED_CODEGEN: u64 = 0x114a_607f_5f30_6b0c;
+
+#[test]
+fn traced_run_matches_recorded_digest() {
+    let got = fnv1a64(traced_codegen().as_bytes());
+    assert_eq!(
+        got, TRACED_CODEGEN,
+        "traced_codegen's trace digest moved: 0x{got:016x}"
+    );
 }
 
 #[test]

@@ -26,9 +26,7 @@
 pub mod block;
 pub mod config;
 pub mod distflow;
-pub mod dp;
 pub mod engine;
-pub mod pp;
 pub mod request;
 pub mod rtc;
 pub mod tokenizer;
@@ -36,9 +34,7 @@ pub mod tokenizer;
 pub use block::{BlockId, BlockPool, BlockTable, OutOfBlocks, DEFAULT_BLOCK_SIZE};
 pub use config::{EngineConfig, EngineMode, EngineVersion};
 pub use distflow::{Backend, BufferInfo, DistFlow, DistFlowError, MemTier, TransferPlan};
-pub use dp::{DpEngine, DpGroup};
 pub use engine::{Engine, EngineEvent, EngineStats, Pacing, PendingPopulate, SubmitOutcome};
-pub use pp::{plan_prefill, ChunkPlacement, PipelinePlan};
 pub use request::{EngineRequest, NewRequest, Phase, RequestArena, RequestId};
 pub use rtc::{CacheId, PopulateStatus, PopulateTicket, PrefixMatch, Rtc, RtcConfig};
 pub use tokenizer::{synthetic_tokens, Prompt, TokenId, Tokenizer};

@@ -12,7 +12,9 @@
 //! the same trick vLLM's hash-based prefix cache uses, arranged as an
 //! explicit tree so subtree operations (eviction, sharing, the JE's global
 //! prompt tree) stay natural. Collisions are 2^-64-scale and ignored by
-//! design.
+//! design. The hash ([`chain_hash`]) mixes a block in four independent
+//! lanes so its multiplies overlap; nothing orders by its value, so its
+//! construction cannot change a decision.
 //!
 //! Nodes live in an arena and link to their children through a
 //! first-child/next-sibling list, so a cached block costs one 48-byte slot
@@ -48,14 +50,49 @@ pub enum Location {
 /// prefix before `block_tokens` (0 for the first block). The platform's
 /// global prompt trees key on it too, so a TE's cache and the JE agree on
 /// prefix identity (the "shared index" of §5.2).
+///
+/// Four independent lanes, so the multiplies of one block overlap instead
+/// of forming one dependent chain per token. Lane `i` takes token pair `i`
+/// of each 8-token group as one word; a tail shorter than 8 tokens is
+/// padded with `u32::MAX` and goes to the lanes by position. The lanes
+/// fold through one 128-bit multiply with the block length, so a padded
+/// tail and the same tokens spelled out with `u32::MAX` differ.
 pub fn chain_hash(prev: u64, block_tokens: &[TokenId]) -> u64 {
-    let mut h = prev ^ 0x51_7c_c1_b7_27_22_0a_95;
-    for t in block_tokens {
-        h ^= t.0 as u64;
-        h = h.wrapping_mul(0x100000001b3);
-        h = h.rotate_left(23);
+    let mut lanes = [
+        prev ^ 0x517c_c1b7_2722_0a95,
+        0x2d35_8dcc_aa6c_78a5,
+        0x8bb8_4b93_962e_acc9,
+        0x4b33_a62e_d433_d4a3,
+    ];
+    let mut groups = block_tokens.chunks_exact(8);
+    for g in &mut groups {
+        absorb(&mut lanes, g);
     }
-    h
+    let tail = groups.remainder();
+    if !tail.is_empty() {
+        let mut padded = [TokenId(u32::MAX); 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &padded);
+    }
+    let [l0, l1, l2, l3] = lanes;
+    let a = l0 ^ l2 ^ 0x94d0_49bb_1331_11eb;
+    let b = l1 ^ l3 ^ block_tokens.len() as u64;
+    let product = u128::from(a) * u128::from(b);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// Feeds one 8-token group to [`chain_hash`]'s lanes.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; 4], g: &[TokenId]) {
+    let mix = |lane: u64, lo: TokenId, hi: TokenId| {
+        (lane ^ (u64::from(lo.0) | u64::from(hi.0) << 32))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29)
+    };
+    lanes[0] = mix(lanes[0], g[0], g[1]);
+    lanes[1] = mix(lanes[1], g[2], g[3]);
+    lanes[2] = mix(lanes[2], g[4], g[5]);
+    lanes[3] = mix(lanes[3], g[6], g[7]);
 }
 
 /// The absent link in `Node`'s `u32` node references.
@@ -598,6 +635,78 @@ mod tests {
             .collect();
         assert_eq!(walked, scanned);
         walked
+    }
+
+    /// Every block in `blocks` hashes (after `prev`) to a distinct value.
+    fn assert_distinct(prev: u64, blocks: &[Vec<TokenId>]) {
+        let mut hashes: Vec<u64> = blocks.iter().map(|b| chain_hash(prev, b)).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), blocks.len(), "chain_hash collided");
+    }
+
+    #[test]
+    fn chain_hash_sees_every_token_position() {
+        let block = toks(1, B);
+        let mut blocks = vec![block.clone()];
+        for i in 0..B {
+            let mut b = block.clone();
+            b[i] = TokenId(b[i].0 ^ 1);
+            blocks.push(b);
+        }
+        assert_distinct(0, &blocks);
+    }
+
+    #[test]
+    fn chain_hash_is_order_sensitive_within_and_across_lanes() {
+        let block: Vec<TokenId> = (1..=B as u32).map(TokenId).collect();
+        let swapped = |i: usize, j: usize| {
+            let mut b = block.clone();
+            b.swap(i, j);
+            b
+        };
+        assert_distinct(
+            0,
+            &[
+                block.clone(),
+                // Within lane 0's pair, and within the second group's lane 3.
+                swapped(0, 1),
+                swapped(14, 15),
+                // Lanes 0 and 1, lanes 0 and 2 (which the fold XORs
+                // together), and one lane across its two groups.
+                swapped(0, 2),
+                swapped(0, 4),
+                swapped(1, 5),
+                swapped(2, 10),
+            ],
+        );
+    }
+
+    #[test]
+    fn chain_hash_chains_on_prev() {
+        let block = toks(2, B);
+        let first = toks(3, B);
+        let prev = chain_hash(0, &first);
+        assert_ne!(chain_hash(0, &block), chain_hash(prev, &block));
+        assert_ne!(chain_hash(prev, &block), chain_hash(prev ^ 1, &block));
+    }
+
+    #[test]
+    fn chain_hash_pads_a_short_tail_apart_from_real_tokens() {
+        let tail = toks(4, 5);
+        let mut padded = tail.clone();
+        padded.extend([TokenId(u32::MAX); 3]);
+        let mut long = toks(5, 8);
+        long.extend(&tail);
+        let mut long_padded = long.clone();
+        long_padded.extend([TokenId(u32::MAX); 3]);
+        let mut blocks = vec![tail.clone(), padded, tail[..4].to_vec(), long, long_padded];
+        for i in 0..tail.len() {
+            let mut t = tail.clone();
+            t[i] = TokenId(t[i].0 + 1);
+            blocks.push(t);
+        }
+        assert_distinct(0, &blocks);
     }
 
     #[test]
